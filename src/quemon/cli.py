@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 on parse errors (including bad command lines),
 3 on precondition violations, 4 when `embed` is given a non-embeddable
-alphabet.
+alphabet, 5 when a computation stops at runtime: a search or iteration
+bound is exceeded, a witness equation fails its check, or an internal
+self-check fails.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from .alphabet import (
     decide_embeddable,
 )
 from .embed import embed_to_two_free
-from .errors import NotEmbeddableError, ParseError, PreconditionError
+from .errors import (
+    CapExceededError,
+    InternalError,
+    NotEmbeddableError,
+    ParseError,
+    PreconditionError,
+    VerificationFailedError,
+)
 from .queue import (
     DEFAULT_ALPHABET,
     action,
@@ -369,6 +378,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    except (CapExceededError, VerificationFailedError, InternalError) as exc:
+        print(f"runtime error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -30,6 +30,13 @@ u2; two action sequences are equivalent iff these three words agree.
 Products can be computed on normal forms directly: the center of a product
 x y is overlap(center(x) . neg(y), pos(x) . center(y)), and the outer
 blocks are read off the concatenated projections.
+
+Appending one action to w never shortens pos or neg, and the center moves
+exactly like a Knuth-Morris-Pratt matcher of neg against pos whose match
+may not exceed the letters written so far.  normal_form is that matcher run
+once over w, so it takes linear time; multiply, power_mu and nf_power use
+the linear overlap of the words module, and action keeps a head index into
+the queue instead of slicing it.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .words import Letter, Word, overlap
+from .words import Letter, Word, match_step, overlap
 
 Action = str  # 'x' writes letter x, '~x' reads letter x
 QueueWord = tuple[Action, ...]
@@ -80,7 +87,10 @@ def write_actions(w: Word) -> QueueWord:
 
 def read_actions(w: Word) -> QueueWord:
     """The action sequence reading the letters of w in order."""
-    return tuple("~" + x for x in w)
+    # tuple([...]) allocates the tuple at its final size; tuple() over a
+    # generator grows and then shrinks it, which in hot loops strands
+    # memory in the interpreter's per-size tuple free lists.
+    return tuple(["~" + x for x in w])
 
 
 def action(state: QueueState, w: QueueWord) -> QueueState:
@@ -88,28 +98,28 @@ def action(state: QueueState, w: QueueWord) -> QueueState:
 
     BOTTOM is absorbing; a failed read yields BOTTOM.
     """
+    if state is BOTTOM:
+        return BOTTOM
+    queue = list(state)
+    head = 0
     for a in w:
-        if state is BOTTOM:
-            return BOTTOM
         if a.startswith("~"):
-            x = a[1:]
-            if state and state[0] == x:
-                state = state[1:]
-            else:
-                state = BOTTOM
+            if head == len(queue) or queue[head] != a[1:]:
+                return BOTTOM
+            head += 1
         else:
-            state = state + (a,)
-    return state
+            queue.append(a)
+    return tuple(queue[head:])
 
 
 def project_pos(w: QueueWord) -> Word:
     """The written letters of w, in order."""
-    return tuple(a for a in w if not a.startswith("~"))
+    return tuple([a for a in w if not a.startswith("~")])
 
 
 def project_neg(w: QueueWord) -> Word:
     """The read letters of w, in order."""
-    return tuple(a[1:] for a in w if a.startswith("~"))
+    return tuple([a[1:] for a in w if a.startswith("~")])
 
 
 class QueueNormalForm(NamedTuple):
@@ -142,23 +152,43 @@ def multiply(x: QueueNormalForm, y: QueueNormalForm) -> QueueNormalForm:
     center = overlap(x.center + y.reads + y.center, x.center + x.writes + y.center)
     neg = x.reads + x.center + y.reads + y.center
     pos = x.center + x.writes + y.center + y.writes
+    return _split(neg, center, pos, "product")
+
+
+def _split(neg: Word, center: Word, pos: Word, what: str) -> QueueNormalForm:
+    """The normal form with the given projections and center, after checking
+    that the center is a suffix of neg and a prefix of pos."""
     cut = len(neg) - len(center)
     if neg[cut:] != center:
-        raise InternalError("product center is not a suffix of the read projection")
+        raise InternalError(f"{what} center is not a suffix of the read projection")
     if pos[: len(center)] != center:
-        raise InternalError("product center is not a prefix of the write projection")
+        raise InternalError(f"{what} center is not a prefix of the write projection")
     return QueueNormalForm(neg[:cut], center, pos[len(center):])
 
 
 def normal_form(w: QueueWord) -> QueueNormalForm:
-    """Normal form of an action sequence, folding multiply over its letters."""
-    nf = NF_IDENTITY
+    """Normal form of an action sequence, in one left-to-right pass.
+
+    The center after each prefix of w is the longest suffix of the letters
+    read so far that is a prefix of the letters written so far, reached
+    through the previous center: a write leaves it alone, a read of x moves
+    it to overlap(center . x, pos).  That is one Knuth-Morris-Pratt step of
+    neg against pos, with the prefix function of pos grown as letters are
+    written; the match never exceeds len(pos).
+    """
+    neg: list[Letter] = []
+    pos: list[Letter] = []
+    border: list[int] = []  # prefix function of pos
+    k = 0  # length of the current center
     for a in w:
         if a.startswith("~"):
-            nf = multiply(nf, QueueNormalForm((a[1:],), (), ()))
+            x = a[1:]
+            neg.append(x)
+            k = match_step(pos, border, k, x)
         else:
-            nf = multiply(nf, QueueNormalForm((), (), (a,)))
-    return nf
+            border.append(match_step(pos, border, border[-1], a) if pos else 0)
+            pos.append(a)
+    return QueueNormalForm(tuple(neg[: len(neg) - k]), tuple(pos[:k]), tuple(pos[k:]))
 
 
 def mu(w: QueueWord) -> Word:
@@ -167,13 +197,16 @@ def mu(w: QueueWord) -> Word:
 
 
 def nf_power(x: QueueNormalForm, n: int) -> QueueNormalForm:
-    """n-th power of a class given in normal form, n >= 0."""
+    """n-th power of a class given in normal form, n >= 0.
+
+    The projections of x^n are neg(x)^n and pos(x)^n, and its center is
+    power_mu(x, n), so the power costs O(n |x|) with no repeated products.
+    """
     if n < 0:
         raise PreconditionError("exponent must be nonnegative")
-    out = NF_IDENTITY
-    for _ in range(n):
-        out = multiply(out, x)
-    return out
+    if n == 0:
+        return NF_IDENTITY
+    return _split(x.neg() * n, power_mu(x, n), x.pos() * n, "power")
 
 
 def power_mu(x: QueueNormalForm, n: int) -> Word:

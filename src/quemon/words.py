@@ -1,14 +1,17 @@
 """Word combinatorics: overlaps, primitive roots, conjugacy of primitive words.
 
 A word is a tuple of letters; a letter is a nonempty string.  Everything in
-this module is classical periodicity reasoning on plain words.  Inputs stay
-small (desk scale), so the implementations favour the obvious quadratic
-scans over failure-function machinery.
+this module is classical periodicity reasoning on plain words.  Words may be
+long (queue products and powers of many thousands of actions call overlap),
+so every scan here is linear: overlaps (after a bounded direct comparison),
+periods and rotations go through the prefix function of Knuth, Morris and
+Pratt (1977), built and matched with the single step function match_step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     EmptyWordError,
@@ -20,28 +23,109 @@ from .errors import (
 Letter = str
 Word = tuple[Letter, ...]
 
+# overlap compares candidates directly before it builds a prefix function.
+# A letter compared by tuple comparison costs a few percent of a
+# prefix-function step, so DIRECT_BUDGET letters of direct comparison per
+# input letter cost less than the scan they can save.  Each candidate is
+# first probed on at most PROBE letters, so candidates that fail early cost
+# little and the budget goes to those that nearly match.
+DIRECT_BUDGET = 8
+PROBE = 16
+
+
+def match_step(pattern: Sequence[Letter], border: Sequence[int], k: int, x: Letter) -> int:
+    """Advance a Knuth-Morris-Pratt match of pattern by the letter x.
+
+    The first k letters of pattern have just been matched (0 <= k <=
+    len(pattern)) and x is read next; the result is the length of the
+    longest prefix of pattern that is a suffix of pattern[:k] + x.  border
+    is the prefix function of pattern, needed up to index k - 1: border[i]
+    is the length of the longest proper prefix of pattern[:i+1] that is
+    also its suffix.  A full match (k == len(pattern)) falls back along its
+    borders first, so the result never exceeds len(pattern).  Each call
+    costs O(1) amortised over a left-to-right scan, because every fallback
+    shortens the match and every call lengthens it by at most one.
+    """
+    n = len(pattern)
+    while k and (k == n or pattern[k] != x):
+        k = border[k - 1]
+    if k < n and pattern[k] == x:
+        return k + 1
+    return k
+
+
+def prefix_function(w: Sequence[Letter]) -> list[int]:
+    """The prefix function of w: entry i is the longest proper border of w[:i+1]."""
+    if not w:
+        return []
+    border = [0]
+    k = 0
+    for i in range(1, len(w)):
+        k = match_step(w, border, k, w[i])
+        border.append(k)
+    return border
+
 
 def overlap(u: Word, v: Word) -> Word:
-    """Longest word that is simultaneously a suffix of u and a prefix of v."""
-    for k in range(min(len(u), len(v)), 0, -1):
-        if u[len(u) - k:] == v[:k]:
-            return v[:k]
-    return ()
+    """Longest word that is simultaneously a suffix of u and a prefix of v.
+
+    Only the last m = min(|u|, |v|) letters of u can take part, and every
+    candidate suffix begins with a letter equal to v[0].  Candidates are
+    compared with v directly, longest first, until one matches or about
+    DIRECT_BUDGET * m letters have been compared; the rest are settled by
+    one Knuth-Morris-Pratt scan against the prefix function of v.  Both
+    phases are O(m), so the whole is O(|u| + |v|).  The direct phase runs
+    at the speed of tuple comparison and settles most overlaps met in
+    practice: short ones after a few cheap probes, and long ones that
+    start at one of the first few candidates.
+    """
+    m = min(len(u), len(v))
+    if not m:
+        return ()
+    tail = u[len(u) - m:]
+    first = v[0]
+    budget = DIRECT_BUDGET * m
+    i = -1
+    while budget > 0:
+        try:
+            i = tail.index(first, i + 1)
+        except ValueError:
+            return ()
+        n = m - i
+        probe = min(n, PROBE)
+        budget -= probe
+        if tail[i:i + probe] == v[:probe]:
+            if probe == n or tail[i:] == v[:n]:
+                return v[:n]
+            budget -= n
+    head = v[: m - i - 1]
+    border = prefix_function(head)
+    k = 0
+    for x in tail[i + 1:]:
+        k = match_step(head, border, k, x)
+    return head[:k]
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Return (root, e) where root is primitive and root repeated e times is w.
 
     The root is the shortest period that divides w evenly; e is maximal.
+    The shortest period of w is d = |w| - border, with border the longest
+    proper border; when d divides |w| it is the root length, and otherwise
+    w is primitive (a root length r is a period with d + r <= |w|, so by
+    Fine and Wilf gcd(d, r) is a period too, forcing d to divide r).
     Raises EmptyWordError on the empty word, which is a power of everything.
     """
     if not w:
         raise EmptyWordError("the empty word has no primitive root")
     n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return w[:d], n // d
-    raise InternalError("unreachable: every word is a power of itself")
+    d = n - prefix_function(w)[-1]
+    if n % d:
+        d = n
+    root = w[:d]
+    if root * (n // d) != w:
+        raise InternalError("the shortest period does not generate the word")
+    return root, n // d
 
 
 def is_primitive(w: Word) -> bool:
@@ -93,7 +177,8 @@ def conjugacy_decomposition(p: Word, q: Word) -> ConjugacyDecomposition | None:
 
     Both inputs must be primitive.  Among all valid splits the one with the
     shortest g is returned, which makes the choice deterministic; for p == q
-    that is g = (), h = p.
+    that is g = (), h = p.  q = hg for g = p[:i] exactly when q occurs in
+    p p at offset i, so the shortest g is read off the first occurrence.
     """
     if not p or not q:
         raise EmptyWordError("conjugacy is defined for nonempty words")
@@ -103,10 +188,13 @@ def conjugacy_decomposition(p: Word, q: Word) -> ConjugacyDecomposition | None:
         raise NotPrimitiveError(f"not primitive: {q!r}")
     if len(p) != len(q):
         return None
-    for i in range(len(p)):
-        g, h = p[:i], p[i:]
-        if h + g == q:
-            return ConjugacyDecomposition(g, h)
+    border = prefix_function(q)
+    k = 0
+    for end, x in enumerate(p + p[:-1], start=1):
+        k = match_step(q, border, k, x)
+        if k == len(q):
+            i = end - len(q)
+            return ConjugacyDecomposition(p[:i], p[i:])
     return None
 
 

@@ -240,6 +240,39 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert err.startswith("cannot read input:")
 
 
+def test_cap_exceeded_exits_5(capsys, monkeypatch):
+    import quemon.witness
+
+    monkeypatch.setattr(quemon.witness, "_ENLARGE_CAP", 0)
+    code, out, err = run(capsys, "witness", "nonconjugated",
+                         "a~b", "a~b", "a~b", "a", "b")
+    assert (code, out) == (5, "")
+    assert err == "runtime error (CapExceededError): enlargement bound reached\n"
+
+
+def test_failed_verification_exits_5(capsys, monkeypatch):
+    import quemon.witness
+
+    monkeypatch.setattr(quemon.witness, "equivalent", lambda u, v: False)
+    code, out, err = run(capsys, "witness", "nonconjugated",
+                         "a~b", "a~b", "a~b", "a", "b")
+    assert (code, out) == (5, "")
+    assert err.startswith("runtime error (VerificationFailedError): nonconjugated")
+    assert err.count("\n") == 1
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    import quemon.queue
+
+    monkeypatch.setattr(quemon.queue, "overlap", lambda u, v: ("z",))
+    code, out, err = run(capsys, "mul", "a~a", "b")
+    assert (code, out) == (5, "")
+    assert err == (
+        "runtime error (InternalError): "
+        "product center is not a suffix of the read projection\n"
+    )
+
+
 def test_output_is_stable_across_runs(capsys, k3):
     first = run(capsys, "decide", "--json", k3)
     second = run(capsys, "decide", "--json", k3)

@@ -38,6 +38,8 @@ from quemon import (
     rewrite_nf_oracle,
 )
 
+from oracles import iterated_nf_power
+
 ACTIONS = ("a", "b", "~a", "~b")
 
 
@@ -138,7 +140,7 @@ def test_power_mu_examples():
 @settings(max_examples=80)
 def test_power_mu_matches_iterated_multiply(w, n):
     nf = normal_form(w)
-    assert power_mu(nf, n) == nf_power(nf, n).center
+    assert power_mu(nf, n) == iterated_nf_power(nf, n).center
 
 
 def test_equivalent_examples():
