@@ -107,4 +107,4 @@ def clique_projection(u: TraceWord, letters: Sequence[Letter]) -> Word:
     whose value is invariant across u's class.
     """
     keep = set(letters)
-    return tuple([x for x in u.word if x in keep])
+    return tuple(x for x in u.word if x in keep)

@@ -43,9 +43,6 @@ from .words import (
 
 _ENLARGE_CAP = 1_000_000
 
-# Tuples here are built as tuple([...]), at their final size; see
-# queue.read_actions for why.
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -139,8 +136,8 @@ def solve_projection_system(
     z = _integer_kernel_vector([a, b], 3)
     if z is None:
         raise InternalError("two equations in three unknowns left no kernel")
-    x = tuple([max(zi, 0) + min_entry for zi in z])
-    y = tuple([max(-zi, 0) + min_entry for zi in z])
+    x = tuple(max(zi, 0) + min_entry for zi in z)
+    y = tuple(max(-zi, 0) + min_entry for zi in z)
     if sum(ai * xi for ai, xi in zip(a, x)) != sum(ai * yi for ai, yi in zip(a, y)):
         raise InternalError("kernel vector fails the first row")
     if sum(bi * xi for bi, xi in zip(b, x)) != sum(bi * yi for bi, yi in zip(b, y)):
@@ -251,14 +248,14 @@ def nonconjugated_witness(
     if len(p) == len(q) and conjugacy_decomposition(p, q) is not None:
         raise PreconditionError("p and q must not be conjugate")
 
-    a = tuple([_positive_exponent(project_pos(x), p, "write") for x in (u, v, w)])
-    b = tuple([_positive_exponent(project_neg(x), q, "read") for x in (u, v, w)])
+    a = tuple(_positive_exponent(project_pos(x), p, "write") for x in (u, v, w))
+    b = tuple(_positive_exponent(project_neg(x), q, "read") for x in (u, v, w))
     x0, y0 = solve_projection_system(a, b, min_entry=0)
 
     need = len(p) + len(q)
     for n in range(_ENLARGE_CAP):
-        xs = tuple([e + n for e in x0])
-        ys = tuple([e + n for e in y0])
+        xs = tuple(e + n for e in x0)
+        ys = tuple(e + n for e in y0)
         long_enough = all(
             (
                 need <= b[2] * vec[2] * len(q)
@@ -333,7 +330,7 @@ def mixed_exponent(
     factors to its left by their write exponents and those to its right by
     their read exponents.
     """
-    profiles = tuple([tuple(p) for p in profiles])
+    profiles = tuple(tuple(p) for p in profiles)
     x = tuple(x)
     if len(profiles) != 3 or any(len(p) != 3 for p in profiles):
         raise PreconditionError("profiles must be three (a, b, c) triples")
@@ -362,7 +359,7 @@ def conjugated_witness(
     designated row of the center formula is the minimum on both sides.
     """
     words = (u, v, w)
-    profiles = tuple([conjugacy_profile(normal_form(x), dec) for x in words])
+    profiles = tuple(conjugacy_profile(normal_form(x), dec) for x in words)
 
     if all(a == b for a, b, _ in profiles):
         name, idx, case = "trivial", (0, 1, 2), "balanced"
@@ -381,10 +378,10 @@ def conjugated_witness(
             else:
                 raise InternalError("no rotation applicable to unbalanced input")
 
-    rwords = tuple([words[i] for i in idx])
-    rprof = tuple([profiles[i] for i in idx])
-    a_row = tuple([p[0] for p in rprof])
-    b_row = tuple([p[1] for p in rprof])
+    rwords = tuple(words[i] for i in idx)
+    rprof = tuple(profiles[i] for i in idx)
+    a_row = tuple(p[0] for p in rprof)
+    b_row = tuple(p[1] for p in rprof)
     x0, y0 = solve_projection_system(a_row, b_row, min_entry=2)
 
     if case == "balanced":
@@ -392,8 +389,8 @@ def conjugated_witness(
     else:
         coord, row = (0, 0) if case == "pos-heavy" else (2, 2)
         for k in range(_ENLARGE_CAP):
-            x = tuple([e + k if i == coord else e for i, e in enumerate(x0)])
-            y = tuple([e + k if i == coord else e for i, e in enumerate(y0)])
+            x = tuple(e + k if i == coord else e for i, e in enumerate(x0))
+            y = tuple(e + k if i == coord else e for i, e in enumerate(y0))
             rows_x = _mixed_rows(rprof, x)
             rows_y = _mixed_rows(rprof, y)
             if rows_x[row] == min(rows_x) and rows_y[row] == min(rows_y):

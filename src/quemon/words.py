@@ -3,9 +3,9 @@
 A word is a tuple of letters; a letter is a nonempty string.  Everything in
 this module is classical periodicity reasoning on plain words.  Words may be
 long (queue products and powers of many thousands of actions call overlap),
-so every scan here is linear: overlaps (after a bounded direct comparison),
-periods and rotations go through the prefix function of Knuth, Morris and
-Pratt (1977), built and matched with the single step function match_step.
+so overlaps and rotations go through the prefix function of Knuth, Morris
+and Pratt (1977), built and matched with the single step function
+match_step, and take linear time.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from .errors import (
 
 Letter = str
 Word = tuple[Letter, ...]
-
-# overlap compares candidates directly before it builds a prefix function.
-# A letter compared by tuple comparison costs a few percent of a
-# prefix-function step, so DIRECT_BUDGET letters of direct comparison per
-# input letter cost less than the scan they can save.  Each candidate is
-# first probed on at most PROBE letters, so candidates that fail early cost
-# little and the budget goes to those that nearly match.
-DIRECT_BUDGET = 8
-PROBE = 16
 
 
 def match_step(pattern: Sequence[Letter], border: Sequence[int], k: int, x: Letter) -> int:
@@ -69,39 +60,16 @@ def prefix_function(w: Sequence[Letter]) -> list[int]:
 def overlap(u: Word, v: Word) -> Word:
     """Longest word that is simultaneously a suffix of u and a prefix of v.
 
-    Only the last m = min(|u|, |v|) letters of u can take part, and every
-    candidate suffix begins with a letter equal to v[0].  Candidates are
-    compared with v directly, longest first, until one matches or about
-    DIRECT_BUDGET * m letters have been compared; the rest are settled by
-    one Knuth-Morris-Pratt scan against the prefix function of v.  Both
-    phases are O(m), so the whole is O(|u| + |v|).  The direct phase runs
-    at the speed of tuple comparison and settles most overlaps met in
-    practice: short ones after a few cheap probes, and long ones that
-    start at one of the first few candidates.
+    Only the last m = min(|u|, |v|) letters of u and the first m of v can
+    take part.  One Knuth-Morris-Pratt scan of those letters of u against
+    the prefix function of v[:m] ends in the longest prefix of v[:m] that
+    is a suffix of u, so the whole costs O(|u| + |v|).
     """
     m = min(len(u), len(v))
-    if not m:
-        return ()
-    tail = u[len(u) - m:]
-    first = v[0]
-    budget = DIRECT_BUDGET * m
-    i = -1
-    while budget > 0:
-        try:
-            i = tail.index(first, i + 1)
-        except ValueError:
-            return ()
-        n = m - i
-        probe = min(n, PROBE)
-        budget -= probe
-        if tail[i:i + probe] == v[:probe]:
-            if probe == n or tail[i:] == v[:n]:
-                return v[:n]
-            budget -= n
-    head = v[: m - i - 1]
+    head = v[:m]
     border = prefix_function(head)
     k = 0
-    for x in tail[i + 1:]:
+    for x in u[len(u) - m:]:
         k = match_step(head, border, k, x)
     return head[:k]
 
@@ -110,22 +78,15 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     """Return (root, e) where root is primitive and root repeated e times is w.
 
     The root is the shortest period that divides w evenly; e is maximal.
-    The shortest period of w is d = |w| - border, with border the longest
-    proper border; when d divides |w| it is the root length, and otherwise
-    w is primitive (a root length r is a period with d + r <= |w|, so by
-    Fine and Wilf gcd(d, r) is a period too, forcing d to divide r).
     Raises EmptyWordError on the empty word, which is a power of everything.
     """
     if not w:
         raise EmptyWordError("the empty word has no primitive root")
     n = len(w)
-    d = n - prefix_function(w)[-1]
-    if n % d:
-        d = n
-    root = w[:d]
-    if root * (n // d) != w:
-        raise InternalError("the shortest period does not generate the word")
-    return root, n // d
+    for d in range(1, n + 1):
+        if n % d == 0 and w[:d] * (n // d) == w:
+            return w[:d], n // d
+    raise InternalError("unreachable: every word is a power of itself")
 
 
 def is_primitive(w: Word) -> bool:

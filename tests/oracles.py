@@ -3,9 +3,9 @@
 These are the straightforward quadratic versions that the linear kernels in
 quemon replaced: a scanning overlap, the normal form as a fold of the
 product over single actions, the power as an n-fold product, the action by
-slicing the queue, and the primitive root and conjugacy split by trying
-every length and every rotation.  They share no code with the kernels they
-check: the product here is rebuilt on the scanning overlap.
+slicing the queue, and the conjugacy split by trying every rotation.  They
+share no code with the kernels they check: the product here is rebuilt on
+the scanning overlap.
 """
 
 from quemon import BOTTOM, NF_IDENTITY, QueueNormalForm
@@ -59,15 +59,6 @@ def slicing_action(state, w):
         else:
             state = state + (a,)
     return state
-
-
-def scan_primitive_root(w):
-    """(root, e) for nonempty w, trying every divisor length from the shortest."""
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return w[:d], n // d
-    raise AssertionError("every word is a power of itself")
 
 
 def scan_conjugacy_split(p, q):

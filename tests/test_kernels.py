@@ -1,7 +1,7 @@
 """The linear queue and word kernels against their slow oracles.
 
-normal_form, overlap, nf_power, action, primitive_root and
-conjugacy_decomposition are checked against the quadratic versions in
+normal_form, overlap, nf_power, action and conjugacy_decomposition are
+checked against the quadratic versions in
 oracles.py: exhaustively at small sizes, with hypothesis on longer words
 over one to three letters (where centers get long), and on the edge cases
 by hand.  The last test keeps every kernel linear: at 64,000 actions a
@@ -10,12 +10,8 @@ quadratic version takes minutes.
 
 import itertools
 import time
-from unittest.mock import patch
 
-import pytest
 from hypothesis import given, settings, strategies as st
-
-import quemon.words
 
 from quemon import (
     BOTTOM,
@@ -37,7 +33,6 @@ from oracles import (
     iterated_nf_power,
     scan_conjugacy_split,
     scan_overlap,
-    scan_primitive_root,
     slicing_action,
 )
 
@@ -101,34 +96,11 @@ def test_normal_form_matches_fold_on_all_words_up_to_8():
     assert count == sum(4 ** k for k in range(9))
 
 
-# overlap compares up to DIRECT_BUDGET * m letters directly before its
-# prefix-function scan; budget 0 skips the direct phase, budget 1 cuts it
-# short, so every test of overlap covers both phases and the hand-over.
-BUDGETS = (0, 1, quemon.words.DIRECT_BUDGET)
-
-
-def overlap_with_budget(budget, u, v):
-    with patch.object(quemon.words, "DIRECT_BUDGET", budget):
-        return overlap(u, v)
-
-
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_overlap_matches_scan_on_all_pairs_up_to_5(budget):
+def test_overlap_matches_scan_on_all_pairs_up_to_5():
     pool = list(words_up_to(5, LETTERS))
     for u in pool:
         for v in pool:
-            assert overlap_with_budget(budget, u, v) == scan_overlap(u, v), (u, v)
-
-
-def test_overlap_when_the_direct_budget_runs_out():
-    # every position of u starts a candidate and each fails only at the b
-    n = 400
-    u = ("a",) * n
-    v = ("a",) * (n // 2) + ("b",) + ("a",) * (n // 2)
-    assert overlap(u, v) == ("a",) * (n // 2)
-    u = ("a", "b") * n
-    v = ("a", "b") * (n // 2) + ("a", "a") + ("a", "b") * (n // 2)
-    assert overlap(u, v) == scan_overlap(u, v) == ("a", "b") * (n // 2)
+            assert overlap(u, v) == scan_overlap(u, v), (u, v)
 
 
 def test_nf_power_matches_iterated_product_up_to_5():
@@ -143,13 +115,6 @@ def test_action_matches_slicing_up_to_6():
     for w in words_up_to(6, ACTIONS):
         for q in queues:
             assert action(q, w) == slicing_action(q, w), (q, w)
-
-
-def test_primitive_root_matches_scan():
-    for alphabet, n in ((("a", "b"), 12), (LETTERS, 7)):
-        for w in words_up_to(n, alphabet):
-            if w:
-                assert primitive_root(w) == scan_primitive_root(w), w
 
 
 def test_conjugacy_decomposition_matches_scan():
@@ -183,9 +148,8 @@ def test_normal_form_matches_fold_on_long_words(w):
 @given(plain_words(), plain_words())
 @settings(max_examples=300, deadline=None)
 def test_overlap_matches_scan_on_long_words(u, v):
-    for budget in BUDGETS:
-        assert overlap_with_budget(budget, u, v) == scan_overlap(u, v)
-        assert overlap_with_budget(budget, u + v, v) == v
+    assert overlap(u, v) == scan_overlap(u, v)
+    assert overlap(u + v, v) == v
 
 
 @given(long_queue_words(), st.integers(min_value=0, max_value=8))
@@ -203,12 +167,10 @@ def test_action_matches_slicing_on_long_words(q, w):
 
 @given(plain_words(max_size=12), st.integers(min_value=1, max_value=6))
 @settings(max_examples=200, deadline=None)
-def test_primitive_root_and_conjugacy_on_powers(r, e):
+def test_conjugacy_on_rotations_of_roots(r, e):
     if not r:
         return
-    w = r * e
-    assert primitive_root(w) == scan_primitive_root(w)
-    root, _ = primitive_root(w)
+    root, _ = primitive_root(r * e)
     for i in range(len(root)):
         q = root[i:] + root[:i]
         dec = conjugacy_decomposition(root, q)
@@ -279,7 +241,7 @@ def test_kernels_stay_linear_at_64000_actions():
     state = _timed(action, r * 16_000, reads * 10_000 + r * 11_334)
     assert state == r * 17_334
 
-    # every position is a candidate that fails only at the b
+    # u matches v up to its b again and again, falling back each time
     u = ("a",) * 64_000
     v = ("a",) * 32_000 + ("b",) + ("a",) * 32_000
     assert _timed(overlap, u, v) == ("a",) * 32_000
