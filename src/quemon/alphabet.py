@@ -12,12 +12,16 @@ and a concrete witness substructure in the negative case.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import IdentityImageError, ParseError, PreconditionError
 from .queue import QueueWord, project_neg, project_pos
 from .words import Letter
+
+# characters that the word and normal-form syntax reserve
+_RESERVED = re.compile(r"[\s~|<>]")
 
 
 class IndependenceAlphabet:
@@ -35,7 +39,16 @@ class IndependenceAlphabet:
                 raise ParseError(f"letters must be nonempty strings, got {x!r}")
             if x in self._rank:
                 raise ParseError(f"duplicate letter {x!r}")
+            if _RESERVED.search(x):
+                raise ParseError(f"letter {x!r} contains whitespace or one of ~ | < >")
             self._rank[x] = len(self._rank)
+        # printed words join one-character letters without spaces, so a
+        # longer letter they spell would read back as that word
+        singles = {x for x in self.letters if len(x) == 1}
+        if singles:
+            for x in self.letters:
+                if len(x) > 1 and singles.issuperset(x):
+                    raise ParseError(f"letter {x!r} is spelled by one-character letters")
         edges: set[tuple[Letter, Letter]] = set()
         adj: dict[Letter, set[Letter]] = {x: set() for x in self.letters}
         for pair in independent:
@@ -56,6 +69,10 @@ class IndependenceAlphabet:
             adj[b].add(a)
         self.edges: frozenset[tuple[Letter, Letter]] = frozenset(edges)
         self._adj = adj
+        # per-letter tables, filled on first use: building them for every
+        # letter at load time would cost O(|letters|^2)
+        self._neighbors: dict[Letter, tuple[Letter, ...]] = {}
+        self._dependent: dict[Letter, tuple[int, ...]] = {}
 
     def _canonical(self, a: Letter, b: Letter) -> tuple[Letter, Letter]:
         if self._rank[a] <= self._rank[b]:
@@ -72,12 +89,28 @@ class IndependenceAlphabet:
         return a != b and b in self._adj.get(a, ())
 
     def neighbors(self, x: Letter) -> tuple[Letter, ...]:
-        return tuple(y for y in self.letters if y in self._adj[x])
+        """Letters independent of x, in declaration order."""
+        nbrs = self._neighbors.get(x)
+        if nbrs is None:
+            nbrs = self._neighbors[x] = tuple(sorted(self._adj[x], key=self._rank.__getitem__))
+        return nbrs
+
+    def dependent_ranks(self, x: Letter) -> tuple[int, ...]:
+        """Ranks of the letters dependent on x, x included, in increasing order."""
+        dep = self._dependent.get(x)
+        if dep is None:
+            adj = self._adj[x]
+            dep = self._dependent[x] = tuple(i for i, y in enumerate(self.letters) if y not in adj)
+        return dep
 
     def degree(self, x: Letter) -> int:
         return len(self._adj[x])
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            # words over one alphabet compare it on every product and
+            # equivalence test; comparing the edges would cost O(|edges|)
+            return True
         if not isinstance(other, IndependenceAlphabet):
             return NotImplemented
         return self.letters == other.letters and self.edges == other.edges
@@ -126,22 +159,23 @@ class IndependenceAlphabet:
 
 def connected_components(g: IndependenceAlphabet) -> list[tuple[Letter, ...]]:
     """Components as tuples in declaration order, listed by their least letter."""
-    seen: set[Letter] = set()
-    out: list[tuple[Letter, ...]] = []
+    index: dict[Letter, int] = {}
+    out: list[list[Letter]] = []
     for start in g.letters:
-        if start in seen:
+        if start in index:
             continue
-        comp = {start}
+        index[start] = len(out)
+        out.append([])
         frontier = [start]
         while frontier:
             x = frontier.pop()
             for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
+                if y not in index:
+                    index[y] = index[start]
                     frontier.append(y)
-        seen |= comp
-        out.append(tuple(x for x in g.letters if x in comp))
-    return out
+    for x in g.letters:
+        out[index[x]].append(x)
+    return [tuple(c) for c in out]
 
 
 @dataclass(frozen=True)
@@ -181,8 +215,10 @@ def is_complete_bipartite(
     color = {root: 0}
     parent: dict[Letter, Letter | None] = {root: None}
     queue = [root]
-    while queue:
-        x = queue.pop(0)
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
         for y in g.neighbors(x):
             if y not in color:
                 color[y] = 1 - color[x]
@@ -193,10 +229,12 @@ def is_complete_bipartite(
 
     part0 = tuple(x for x in comp if color[x] == 0)
     part1 = tuple(x for x in comp if color[x] == 1)
+    # in a bipartite component a letter is independent of all of part1
+    # exactly when its degree is |part1|
     for a in part0:
-        for b in part1:
-            if not g.independent(a, b):
-                return MissingPair((a, b))
+        if g.degree(a) != len(part1):
+            b = next(b for b in part1 if not g.independent(a, b))
+            return MissingPair((a, b))
     if len(part1) < len(part0):
         return part1, part0
     return part0, part1
@@ -334,8 +372,9 @@ def decide_embeddable(g: IndependenceAlphabet) -> Classification:
 
     nontrivial = [c for c in connected_components(g) if len(c) > 1]
     if len(nontrivial) > 1:
-        first = next(e for e in _ordered_edges(g) if e[0] in set(nontrivial[0]))
-        second = next(e for e in _ordered_edges(g) if e[0] in set(nontrivial[1]))
+        # the first edge in rank order within a component joins its least
+        # letter to that letter's least partner
+        first, second = ((c[0], g.neighbors(c[0])[0]) for c in nontrivial[:2])
         return NotEmbeddable(TwoNontrivialComponents((first, second)))
 
     core = nontrivial[0]
@@ -346,10 +385,6 @@ def decide_embeddable(g: IndependenceAlphabet) -> Classification:
     covered = set(part1) | set(part2)
     isolated = tuple(x for x in g.letters if x not in covered)
     return Embeddable(BipartiteRecipe(part1, part2, isolated))
-
-
-def _ordered_edges(g: IndependenceAlphabet) -> list[tuple[Letter, Letter]]:
-    return sorted(g.edges, key=lambda e: (g.rank(e[0]), g.rank(e[1])))
 
 
 # -- sign pattern of letter images in the queue monoid -----------------------

@@ -23,7 +23,7 @@ from .alphabet import (
     decide_embeddable,
 )
 from .errors import NotEmbeddableError, ParseError, PreconditionError, RecipeMismatchError
-from .trace import TraceWord, clique_projection, lex_normal_form
+from .trace import TraceWord, clique_projection, dependence_stacks
 from .words import Letter, Word
 
 
@@ -195,33 +195,34 @@ def verify_embedding_bounded(
     """Check that the homomorphism given by letter images separates classes.
 
     Enumerates every word of length at most n over the alphabet and tests
-    that two words share an image exactly when they are trace equivalent.
-    The first offending pair, in enumeration order, is reported.
+    that two words share an image exactly when they are trace equivalent,
+    that is, have equal dependence stacks.  The first offending pair, in
+    enumeration order, is reported.
     """
     for x in g.letters:
         if x not in images:
             raise RecipeMismatchError(f"no image for letter {x!r}")
 
-    by_image: dict[tuple[Word, Word], tuple[Word, Word]] = {}
-    by_class: dict[Word, tuple[Word, tuple[Word, Word]]] = {}
+    by_image: dict[tuple[Word, Word], tuple[bytes, Word]] = {}
+    by_class: dict[bytes, tuple[Word, tuple[Word, Word]]] = {}
     count = 0
     level: list[tuple[Word, ProductWord]] = [((), PRODUCT_IDENTITY)]
     for length in range(n + 1):
         for word, img in level:
             count += 1
             key_img = (img.first, img.second)
-            key_nf = lex_normal_form(TraceWord(g, word)).word
+            key_class = dependence_stacks(TraceWord(g, word))
             prior = by_image.get(key_img)
             if prior is None:
-                by_image[key_img] = (key_nf, word)
-            elif prior[0] != key_nf:
+                by_image[key_img] = (key_class, word)
+            elif prior[0] != key_class:
                 return EmbeddingReport(
                     False, count, len(by_class), (prior[1], word),
                     "equal images but inequivalent words",
                 )
-            prior_class = by_class.get(key_nf)
+            prior_class = by_class.get(key_class)
             if prior_class is None:
-                by_class[key_nf] = (word, key_img)
+                by_class[key_class] = (word, key_img)
             elif prior_class[1] != key_img:
                 return EmbeddingReport(
                     False, count, len(by_class), (prior_class[0], word),

@@ -2,14 +2,27 @@
 
 A trace word is a plain word together with the independence alphabet it
 lives over.  Two words are identified when one can be turned into the
-other by repeatedly swapping adjacent independent letters.  Every class
-contains a unique lexicographically least member, computed greedily, and
-that member serves as the normal form.
+other by repeatedly swapping adjacent independent letters.
+
+Every computation here goes through one canonical form, the dependence
+stacks (Diekert & Rozenberg, The Book of Traces, 1995, ch. 2).  Stack y
+is the word projected onto D(y), the letters dependent on y (y included),
+with y kept and every other letter replaced by an unlabelled marker.  A
+swap of adjacent independent letters never changes a stack, and the
+stacks determine the trace (the projection lemma), so two words are
+equivalent exactly when their stacks are equal.  Building them costs one
+push per position and dependent letter, O(n * deg).
+
+The lexicographically least member of a class is its normal form.  A
+letter can come first exactly when it tops its own stack; the least such
+letter x is emitted and one entry popped from each stack of D(x), which
+leaves the stacks of the rest of the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .alphabet import IndependenceAlphabet
@@ -36,48 +49,70 @@ class TraceWord:
         return len(self.word)
 
 
+def _stacks(u: TraceWord) -> list[list[bool]]:
+    """Dependence stacks of u, indexed by rank, with the first position on top.
+
+    An entry is True where the stack's own letter stands and False for a
+    marker.
+    """
+    g = u.alphabet
+    stacks: list[list[bool]] = [[] for _ in g.letters]
+    dep = {x: (g.rank(x), g.dependent_ranks(x)) for x in set(u.word)}
+    for x in reversed(u.word):
+        i, ranks = dep[x]
+        for j in ranks:
+            stacks[j].append(j == i)
+    return stacks
+
+
+def dependence_stacks(u: TraceWord) -> bytes:
+    """The dependence stacks as one byte string (1 for a letter, 0 for a
+    marker, 2 between stacks): equal for two words over one alphabet
+    exactly when the words are trace equivalent."""
+    return b"\x02".join(map(bytes, _stacks(u)))
+
+
 def lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> TraceWord:
     """Least representative of u's class in the length-lexicographic order.
 
-    The order on letters defaults to declaration order.  Greedy scheme: a
-    letter can come first exactly when its first occurrence is preceded
-    only by letters independent of it; among those candidates the least is
-    emitted and its occurrence deleted.
+    The order on letters defaults to declaration order.  The letters that
+    may come first are those on top of their own dependence stack; a heap
+    keyed by the order yields the least, whose pop from the stacks of its
+    dependent letters may expose new ones.  O(n * (deg + log |letters|)).
     """
     g = u.alphabet
     if order is None:
-        rank = {x: g.rank(x) for x in g.letters}
+        key = list(range(len(g.letters)))
     else:
         rank = {x: i for i, x in enumerate(order)}
         for x in g.letters:
             if x not in rank:
                 raise PreconditionError(f"order is missing letter {x!r}")
-    remaining = list(u.word)
+        key = [rank[x] for x in g.letters]
+    stacks = _stacks(u)
+    heap = [(key[i], i) for i, s in enumerate(stacks) if s and s[-1]]
+    heapify(heap)
     out: list[Letter] = []
-    while remaining:
-        best_pos = None
-        best_rank = None
-        seen: set[Letter] = set()
-        for i, x in enumerate(remaining):
-            if x in seen:
-                continue
-            seen.add(x)
-            if all(g.independent(y, x) for y in remaining[:i]):
-                r = rank[x]
-                if best_rank is None or r < best_rank:
-                    best_pos, best_rank = i, r
-        assert best_pos is not None  # position 0 always qualifies
-        out.append(remaining.pop(best_pos))
+    while heap:
+        x = g.letters[heappop(heap)[1]]
+        out.append(x)
+        # no letter of D(x) other than x can be on the heap: it would have
+        # to precede x's first occurrence, and then x could not come first
+        for j in g.dependent_ranks(x):
+            s = stacks[j]
+            s.pop()
+            if s and s[-1]:
+                heappush(heap, (key[j], j))
     return TraceWord(g, tuple(out))
 
 
 def trace_equivalent(u: TraceWord, v: TraceWord) -> bool:
-    """Whether u and v denote the same trace."""
+    """Whether u and v denote the same trace: equal dependence stacks."""
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError("cannot compare over different alphabets")
     if len(u.word) != len(v.word):
         return False
-    return lex_normal_form(u).word == lex_normal_form(v).word
+    return _stacks(u) == _stacks(v)
 
 
 def bfs_trace_class(u: TraceWord, cap: int = 1_000_000) -> set[Word]:

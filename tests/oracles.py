@@ -1,12 +1,16 @@
-"""Slow reference implementations of the queue and word kernels.
+"""Slow reference implementations of the queue, word and trace kernels.
 
 These are the straightforward quadratic versions that the linear kernels in
 quemon replaced: a scanning overlap, the normal form as a fold of the
 product over single actions, the power as an n-fold product, the action by
-slicing the queue, and the conjugacy split by trying every rotation.  They
-share no code with the kernels they check: the product here is rebuilt on
-the scanning overlap.
+slicing the queue, the conjugacy split by trying every rotation, the trace
+normal form by greedy rescans, and trace equivalence by projections onto
+every dependent pair.  They share no code with the kernels they check: the
+product here is rebuilt on the scanning overlap, and the trace oracles ask
+the alphabet only which pairs are independent.
 """
+
+import itertools
 
 from quemon import BOTTOM, NF_IDENTITY, QueueNormalForm
 
@@ -69,3 +73,40 @@ def scan_conjugacy_split(p, q):
         if p[i:] + p[:i] == q:
             return p[:i], p[i:]
     return None
+
+
+def greedy_lex_normal_form(g, word, order=None):
+    """Least member of the trace class of word, by greedy rescans.
+
+    A letter can come first exactly when its first occurrence is preceded
+    only by letters independent of it; among those candidates the least
+    (in order, default declaration order) is emitted and its occurrence
+    deleted.
+    """
+    rank = {x: i for i, x in enumerate(g.letters if order is None else order)}
+    remaining = list(word)
+    out = []
+    while remaining:
+        best_pos = None
+        best_rank = None
+        seen = set()
+        for i, x in enumerate(remaining):
+            if x in seen:
+                continue
+            seen.add(x)
+            if all(g.independent(y, x) for y in remaining[:i]):
+                if best_rank is None or rank[x] < best_rank:
+                    best_pos, best_rank = i, rank[x]
+        out.append(remaining.pop(best_pos))
+    return tuple(out)
+
+
+def projection_equivalent(g, u, v):
+    """Trace equivalence by the projection lemma: equal projections onto
+    every pair of dependent letters, a letter paired with itself included."""
+    for a, b in itertools.combinations_with_replacement(g.letters, 2):
+        if a == b or not g.independent(a, b):
+            keep = {a, b}
+            if [x for x in u if x in keep] != [x for x in v if x in keep]:
+                return False
+    return True

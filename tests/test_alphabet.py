@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quemon import (
     BipartiteRecipe,
@@ -17,12 +18,19 @@ from quemon import (
     OddCycle,
     ParseError,
     PreconditionError,
+    QueueNormalForm,
     TwoNontrivialComponents,
     connected_components,
     decide_embeddable,
+    format_normal_form,
+    format_queue_word,
+    format_word,
     gamma_partition,
     is_complete_bipartite,
     is_p4_free,
+    parse_normal_form,
+    parse_queue_word,
+    parse_word,
 )
 
 K3 = IndependenceAlphabet(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")])
@@ -68,6 +76,48 @@ def test_construction_errors():
         IndependenceAlphabet(("a", "b"), [("a", "z")])
     with pytest.raises(ParseError):
         IndependenceAlphabet(("a", "b"), [("a", "b"), ("b", "a")])
+
+
+def test_letters_that_break_printing_are_rejected():
+    for bad in ("x|y", "~a", "a~", "a b", "a\tb", "<a", "a>"):
+        with pytest.raises(ParseError, match="whitespace"):
+            IndependenceAlphabet(("c", bad), [])
+    # printed, the word b a and the letter ab would both read "ab"
+    with pytest.raises(ParseError, match="'ab'"):
+        IndependenceAlphabet(("a", "b", "ab"), [])
+    with pytest.raises(ParseError, match="'aa'"):
+        IndependenceAlphabet(("aa", "a"), [])
+    # letters with a character that is no letter of their own stay valid
+    IndependenceAlphabet(("a", "ab"), [])
+    IndependenceAlphabet([f"l{i}" for i in range(12)], [])
+
+
+# any characters, the reserved ones and whitespace among them
+_CHARS = st.sampled_from("abc01~|<> \t")
+
+
+@given(
+    st.lists(st.text(_CHARS, min_size=1, max_size=3), min_size=1, max_size=5, unique=True),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_printed_words_parse_back_over_accepted_alphabets(letters, data):
+    bad = [x for x in letters if set(x) & set("~|<> \t")] or [
+        x for x in letters if len(x) > 1 and set(x) <= set(letters)
+    ]
+    try:
+        g = IndependenceAlphabet(letters, [])
+    except ParseError:
+        assert bad
+        return
+    assert not bad
+    word = st.lists(st.sampled_from(g.letters), max_size=6).map(tuple)
+    w, u, v = data.draw(word), data.draw(word), data.draw(word)
+    assert parse_word(format_word(w), g.letters) == w
+    q = tuple("~" + x for x in u) + v
+    assert parse_queue_word(format_queue_word(q), g.letters) == q
+    nf = QueueNormalForm(w, u, v)
+    assert parse_normal_form(format_normal_form(nf), g.letters) == nf
 
 
 def test_json_round_trip():

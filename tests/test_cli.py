@@ -157,6 +157,15 @@ def test_lexnf(capsys, p3):
     assert json.loads(out) == {"word": "ab"}
 
 
+@pytest.mark.parametrize("letters", [["x|y", "z"], ["~a", "a"], ["a", "b", "ab"]])
+def test_letters_that_do_not_print_back_exit_2(capsys, tmp_path, letters):
+    path = alphabet_file(tmp_path, "bad.json", letters, [])
+    for argv in (("lexnf", path, letters[-1]), ("nf", "--alphabet", path, letters[-1])):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: letter ")
+
+
 def test_embed(capsys, p3):
     code, out, _ = run(capsys, "embed", p3, "abc")
     assert (code, out) == (0, "(ab | baab)\n")

@@ -1,14 +1,20 @@
-"""The linear queue and word kernels against their slow oracles.
+"""The linear queue, word, trace and alphabet kernels against their slow oracles.
 
 normal_form, overlap, nf_power, action and conjugacy_decomposition are
 checked against the quadratic versions in
 oracles.py: exhaustively at small sizes, with hypothesis on longer words
 over one to three letters (where centers get long), and on the edge cases
-by hand.  The last test keeps every kernel linear: at 64,000 actions a
-quadratic version takes minutes.
+by hand.  lex_normal_form and trace_equivalent are checked against the
+greedy normal form, the pairwise-projection test and bfs_trace_class:
+exhaustively on small independence graphs, with hypothesis on random
+graphs of 8 to 28 letters.  The last tests keep every kernel linear: at
+64,000 actions or letters, or 16,000-letter alphabets, a quadratic version
+takes minutes.
 """
 
 import itertools
+import random
+import string
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -16,21 +22,35 @@ from hypothesis import given, settings, strategies as st
 from quemon import (
     BOTTOM,
     NF_IDENTITY,
+    Embeddable,
+    IndependenceAlphabet,
+    MissingPair,
+    NotCompleteBipartite,
+    NotEmbeddable,
+    OddCycle,
     QueueNormalForm,
+    TraceWord,
     action,
+    bfs_trace_class,
     conjugacy_decomposition,
+    decide_embeddable,
     equivalent,
     is_primitive,
+    lex_normal_form,
     nf_power,
     normal_form,
     overlap,
     primitive_root,
+    trace_equivalent,
 )
+from quemon.trace import dependence_stacks
 from quemon.words import prefix_function
 
 from oracles import (
     fold_normal_form,
+    greedy_lex_normal_form,
     iterated_nf_power,
+    projection_equivalent,
     scan_conjugacy_split,
     scan_overlap,
     slicing_action,
@@ -137,6 +157,49 @@ def test_prefix_function_examples():
     assert prefix_function(tuple("abcabcab")) == [0, 0, 0, 1, 2, 3, 4, 5]
 
 
+def _small_graphs():
+    """Every independence graph on three letters, and P4, C4, K4 and the
+    empty graph on four."""
+    three = ("a", "b", "c")
+    pairs = list(itertools.combinations(three, 2))
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            yield IndependenceAlphabet(three, edges)
+    four = ("a", "b", "c", "d")
+    path = [("a", "b"), ("b", "c"), ("c", "d")]
+    for edges in (path, path + [("d", "a")], list(itertools.combinations(four, 2)), []):
+        yield IndependenceAlphabet(four, edges)
+
+
+def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
+    for g in _small_graphs():
+        for order in (g.letters, g.letters[::-1]):
+            for w in words_up_to(6, g.letters):
+                got = lex_normal_form(TraceWord(g, w), order=order).word
+                assert got == greedy_lex_normal_form(g, w, order), (g, order, w)
+
+
+def test_dependence_stacks_separate_exactly_the_classes_up_to_6():
+    for g in _small_graphs():
+        class_of = {}
+        for w in words_up_to(6, g.letters):
+            key = dependence_stacks(TraceWord(g, w))
+            assert class_of.setdefault(key, greedy_lex_normal_form(g, w)) == greedy_lex_normal_form(g, w), (g, w)
+        assert len(set(class_of.values())) == len(class_of), g
+
+
+def test_trace_equivalent_matches_projections_and_bfs_up_to_4():
+    for g in _small_graphs():
+        pool = list(words_up_to(4 if len(g.letters) == 3 else 3, g.letters))
+        for w in pool:
+            u = TraceWord(g, w)
+            cls = bfs_trace_class(u)
+            for v in pool:
+                want = v in cls
+                assert projection_equivalent(g, w, v) == want, (g, w, v)
+                assert trace_equivalent(u, TraceWord(g, v)) == want, (g, w, v)
+
+
 # -- hypothesis on longer words -----------------------------------------------
 
 @given(long_queue_words())
@@ -175,6 +238,60 @@ def test_conjugacy_on_rotations_of_roots(r, e):
         q = root[i:] + root[:i]
         dec = conjugacy_decomposition(root, q)
         assert (dec.g, dec.h) == scan_conjugacy_split(root, q)
+
+
+@st.composite
+def graphs_and_words(draw):
+    """A random independence graph on 8 to 28 letters, a shuffled order,
+    a word over a prefix of the letters, and a seeded Random for copies."""
+    letters = tuple(string.ascii_letters[: draw(st.integers(min_value=8, max_value=28))])
+    p = draw(st.sampled_from((0.1, 0.5, 0.9)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    g = IndependenceAlphabet(
+        letters, [e for e in itertools.combinations(letters, 2) if rng.random() < p]
+    )
+    order = list(letters)
+    rng.shuffle(order)
+    used = letters[: draw(st.integers(min_value=1, max_value=len(letters)))]
+    w = tuple(rng.choice(used) for _ in range(draw(st.integers(min_value=0, max_value=60))))
+    return g, order, w, rng
+
+
+def _swap_independent(g, w, rng, times):
+    w = list(w)
+    for _ in range(times):
+        i = rng.randrange(len(w) - 1)
+        if g.independent(w[i], w[i + 1]):
+            w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
+@given(graphs_and_words())
+@settings(max_examples=150, deadline=None)
+def test_lex_normal_form_matches_greedy_on_random_graphs(gw):
+    g, order, w, _ = gw
+    u = TraceWord(g, w)
+    assert lex_normal_form(u).word == greedy_lex_normal_form(g, w)
+    assert lex_normal_form(u, order=order).word == greedy_lex_normal_form(g, w, order)
+
+
+@given(graphs_and_words())
+@settings(max_examples=150, deadline=None)
+def test_trace_equivalent_matches_projections_on_random_graphs(gw):
+    g, _, w, rng = gw
+    if len(w) < 2:
+        return
+    others = [_swap_independent(g, w, rng, 3 * len(w)), tuple(rng.sample(w, len(w)))]
+    i = next((i for i in range(len(w) - 1) if w[i] != w[i + 1] and not g.independent(w[i], w[i + 1])), None)
+    if i is not None:
+        others.append(w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+    for v in others:
+        want = projection_equivalent(g, w, v)
+        assert trace_equivalent(TraceWord(g, w), TraceWord(g, v)) == want
+        assert (dependence_stacks(TraceWord(g, w)) == dependence_stacks(TraceWord(g, v))) == want
+    assert trace_equivalent(TraceWord(g, w), TraceWord(g, others[0]))
+    if i is not None:
+        assert not trace_equivalent(TraceWord(g, w), TraceWord(g, others[-1]))
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -245,3 +362,39 @@ def test_kernels_stay_linear_at_64000_actions():
     u = ("a",) * 64_000
     v = ("a",) * 32_000 + ("b",) + ("a",) * 32_000
     assert _timed(overlap, u, v) == ("a",) * 32_000
+
+
+def test_trace_kernels_stay_linear_at_64000_letters():
+    rng = random.Random(3)
+    letters = tuple(string.ascii_letters[:28])
+    g = IndependenceAlphabet(letters, [e for e in itertools.combinations(letters, 2) if rng.random() < 0.3])
+    w = tuple(rng.choice(letters) for _ in range(64_000))
+    same = _swap_independent(g, w, rng, 128_000)
+    i = next(i for i in range(len(w) - 1) if w[i] != w[i + 1] and not g.independent(w[i], w[i + 1]))
+    other = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+    u, v = TraceWord(g, w), TraceWord(g, same)
+
+    nf = _timed(lex_normal_form, u)
+    assert nf == _timed(lex_normal_form, v)
+    assert _timed(trace_equivalent, u, nf)
+    assert _timed(trace_equivalent, u, v)
+    assert not _timed(trace_equivalent, u, TraceWord(g, other))
+
+
+def test_decide_embeddable_stays_linear_at_16000_letters():
+    k = 16_000
+    letters = [f"l{i}" for i in range(k + 1)]
+    cycle = IndependenceAlphabet(letters, [(letters[i], letters[i + 1]) for i in range(k)] + [(letters[k], letters[0])])
+    verdict = _timed(decide_embeddable, cycle)
+    assert isinstance(verdict, NotEmbeddable) and isinstance(verdict.reason.witness, OddCycle)
+    assert len(verdict.reason.witness.vertices) == k + 1
+
+    # K_{2,k-2} with one pair missing, then the same core among isolated letters
+    core, rest = letters[:2], letters[2:k]
+    edges = [(a, b) for a in core for b in rest if (a, b) != (letters[1], letters[k - 1])]
+    verdict = _timed(decide_embeddable, IndependenceAlphabet(letters[:k], edges))
+    assert verdict == NotEmbeddable(NotCompleteBipartite(MissingPair((letters[1], letters[k - 1]))))
+    edges = [(a, b) for a in core for b in rest[: k // 2]]
+    verdict = _timed(decide_embeddable, IndependenceAlphabet(letters[:k], edges))
+    assert isinstance(verdict, Embeddable)
+    assert verdict.recipe.part1 == tuple(core) and len(verdict.recipe.isolated) == k - 2 - k // 2
