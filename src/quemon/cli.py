@@ -10,6 +10,7 @@ self-check fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -244,14 +245,16 @@ def _cmd_mul(ns: argparse.Namespace) -> int:
 
 
 def _distinguishing_queue(u, v, max_len: int):
-    """Shortest queue (by length, then letter order) on which u and v act differently."""
+    """Shortest queue (by length, then letter order) on which u and v act differently.
+
+    Candidates are generated one at a time, so memory stays bounded
+    whatever max_len is; the time is up to |letters|^max_len actions.
+    """
     letters = sorted({action_letter(a) for a in u} | {action_letter(a) for a in v})
-    level: list[tuple[str, ...]] = [()]
-    for _ in range(max_len + 1):
-        for q in level:
+    for n in range(max_len + 1):
+        for q in itertools.product(letters, repeat=n):
             if action(q, u) != action(q, v):
                 return q
-        level = [q + (a,) for q in level for a in letters]
     return None
 
 

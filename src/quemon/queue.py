@@ -34,7 +34,9 @@ blocks are read off the concatenated projections.
 Appending one action to w never shortens pos or neg, and the center moves
 exactly like a Knuth-Morris-Pratt matcher of neg against pos whose match
 may not exceed the letters written so far.  normal_form is that matcher run
-once over w, so it takes linear time; multiply, power_mu and nf_power use
+once over w, with the prefix function of pos grown as letters are written
+and built only as far as a fallback reaches, so it takes linear time and a
+write costs one append; multiply, power_mu and nf_power use
 the linear overlap of the words module, and action keeps a head index into
 the queue instead of slicing it.
 """
@@ -174,11 +176,12 @@ def normal_form(w: QueueWord) -> QueueNormalForm:
     through the previous center: a write leaves it alone, a read of x moves
     it to overlap(center . x, pos).  That is one Knuth-Morris-Pratt step of
     neg against pos, with the prefix function of pos grown as letters are
-    written; the match never exceeds len(pos).
+    written: match_step builds its entries only when a fallback first needs
+    them, so a write only appends to pos.  The match never exceeds len(pos).
     """
     neg: list[Letter] = []
     pos: list[Letter] = []
-    border: list[int] = []  # prefix function of pos
+    border: list[int] = []  # prefix function of pos, built on demand
     k = 0  # length of the current center
     for a in w:
         if a.startswith("~"):
@@ -186,7 +189,6 @@ def normal_form(w: QueueWord) -> QueueNormalForm:
             neg.append(x)
             k = match_step(pos, border, k, x)
         else:
-            border.append(match_step(pos, border, border[-1], a) if pos else 0)
             pos.append(a)
     return QueueNormalForm(tuple(neg[: len(neg) - k]), tuple(pos[:k]), tuple(pos[k:]))
 

@@ -4,8 +4,10 @@ A word is a tuple of letters; a letter is a nonempty string.  Everything in
 this module is classical periodicity reasoning on plain words.  Words may be
 long (queue products and powers of many thousands of actions call overlap),
 so overlaps and rotations go through the prefix function of Knuth, Morris
-and Pratt (1977), built and matched with the single step function
-match_step, and take linear time.
+and Pratt (1977) and take linear time.  The single step function match_step
+both matches and builds that table, on demand: an entry is computed, in
+order and once, only when a fallback first reaches it, so a scan that
+rarely mismatches builds little of it.
 """
 
 from __future__ import annotations
@@ -24,37 +26,33 @@ Letter = str
 Word = tuple[Letter, ...]
 
 
-def match_step(pattern: Sequence[Letter], border: Sequence[int], k: int, x: Letter) -> int:
+def match_step(pattern: Sequence[Letter], border: list[int], k: int, x: Letter) -> int:
     """Advance a Knuth-Morris-Pratt match of pattern by the letter x.
 
     The first k letters of pattern have just been matched (0 <= k <=
     len(pattern)) and x is read next; the result is the length of the
     longest prefix of pattern that is a suffix of pattern[:k] + x.  border
-    is the prefix function of pattern, needed up to index k - 1: border[i]
-    is the length of the longest proper prefix of pattern[:i+1] that is
-    also its suffix.  A full match (k == len(pattern)) falls back along its
-    borders first, so the result never exceeds len(pattern).  Each call
-    costs O(1) amortised over a left-to-right scan, because every fallback
-    shortens the match and every call lengthens it by at most one.
+    is a prefix, possibly empty, of the prefix function of pattern: border[i]
+    is the length of the longest proper prefix of pattern[:i+1] that is also
+    its suffix.  A fallback from a match of length k needs border[k - 1];
+    when that entry is not built yet, border is extended in place up to it,
+    each new entry by one step of this function over pattern itself.  A
+    full match (k == len(pattern)) falls back along its borders first, so
+    the result never exceeds len(pattern).  Each call costs O(1) amortised
+    over a left-to-right scan, because every fallback shortens the match,
+    every call lengthens it by at most one, and every entry of border is
+    computed once.
     """
     n = len(pattern)
     while k and (k == n or pattern[k] != x):
+        while len(border) < k:
+            # border[-1] < len(border): this step needs no entry not built yet
+            i = len(border)
+            border.append(match_step(pattern, border, border[-1], pattern[i]) if i else 0)
         k = border[k - 1]
     if k < n and pattern[k] == x:
         return k + 1
     return k
-
-
-def prefix_function(w: Sequence[Letter]) -> list[int]:
-    """The prefix function of w: entry i is the longest proper border of w[:i+1]."""
-    if not w:
-        return []
-    border = [0]
-    k = 0
-    for i in range(1, len(w)):
-        k = match_step(w, border, k, w[i])
-        border.append(k)
-    return border
 
 
 def overlap(u: Word, v: Word) -> Word:
@@ -62,12 +60,13 @@ def overlap(u: Word, v: Word) -> Word:
 
     Only the last m = min(|u|, |v|) letters of u and the first m of v can
     take part.  One Knuth-Morris-Pratt scan of those letters of u against
-    the prefix function of v[:m] ends in the longest prefix of v[:m] that
-    is a suffix of u, so the whole costs O(|u| + |v|).
+    v[:m] ends in the longest prefix of v[:m] that is a suffix of u; the
+    prefix function of v[:m] is built only as far as the scan falls back,
+    so the whole costs O(|u| + |v|).
     """
     m = min(len(u), len(v))
     head = v[:m]
-    border = prefix_function(head)
+    border: list[int] = []
     k = 0
     for x in u[len(u) - m:]:
         k = match_step(head, border, k, x)
@@ -149,7 +148,7 @@ def conjugacy_decomposition(p: Word, q: Word) -> ConjugacyDecomposition | None:
         raise NotPrimitiveError(f"not primitive: {q!r}")
     if len(p) != len(q):
         return None
-    border = prefix_function(q)
+    border: list[int] = []
     k = 0
     for end, x in enumerate(p + p[:-1], start=1):
         k = match_step(q, border, k, x)

@@ -1,11 +1,13 @@
 """Slow reference implementations of the queue, word and trace kernels.
 
 These are the straightforward quadratic versions that the linear kernels in
-quemon replaced: a scanning overlap, the normal form as a fold of the
+quemon replaced: the prefix function and the overlap by scanning every
+length, the normal form as a fold of the
 product over single actions, the power as an n-fold product, the action by
 slicing the queue, the conjugacy split by trying every rotation, the trace
-normal form by greedy rescans, and trace equivalence by projections onto
-every dependent pair.  They share no code with the kernels they check: the
+normal form by greedy rescans, trace equivalence by projections onto
+every dependent pair, and the separating-queue search of `quemon eq` with
+every level of candidates held in a list.  They share no code with the kernels they check: the
 product here is rebuilt on the scanning overlap, and the trace oracles ask
 the alphabet only which pairs are independent.
 """
@@ -13,6 +15,11 @@ the alphabet only which pairs are independent.
 import itertools
 
 from quemon import BOTTOM, NF_IDENTITY, QueueNormalForm
+
+
+def scan_prefix_function(w):
+    """Entry i is the longest proper border of w[:i+1], trying every length."""
+    return [max(k for k in range(i + 1) if w[:k] == w[i + 1 - k:i + 1]) for i in range(len(w))]
 
 
 def scan_overlap(u, v):
@@ -72,6 +79,19 @@ def scan_conjugacy_split(p, q):
     for i in range(len(p)):
         if p[i:] + p[:i] == q:
             return p[:i], p[i:]
+    return None
+
+
+def list_distinguishing_queue(u, v, max_len):
+    """Shortest queue (by length, then letter order) on which u and v act
+    differently, or None up to max_len, building each level as a list."""
+    letters = sorted({a.lstrip("~") for a in u} | {a.lstrip("~") for a in v})
+    level = [()]
+    for _ in range(max_len + 1):
+        for q in level:
+            if slicing_action(q, u) != slicing_action(q, v):
+                return q
+        level = [q + (a,) for q in level for a in letters]
     return None
 
 

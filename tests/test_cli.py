@@ -1,11 +1,15 @@
 """Command-line interface: output formats, JSON payloads, exit codes."""
 
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from quemon import parse_normal_form
-from quemon.cli import main
+from quemon import parse_normal_form, parse_queue_word
+from quemon.cli import _distinguishing_queue, main
+
+from oracles import list_distinguishing_queue
 
 
 def run(capsys, *argv):
@@ -87,6 +91,32 @@ def test_eq_search_bound(capsys):
     assert json.loads(out) == {"equivalent": False, "queue": None}
     code, out, _ = run(capsys, "eq", "~aa", "~aaa")
     assert out == "DISTINGUISHED queue='a' lhs=a rhs=aa\n"
+
+
+def test_distinguishing_queue_matches_list_search_up_to_4_actions():
+    words = [w for k in range(5) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
+    for u, v in itertools.combinations_with_replacement(words, 2):  # the search is symmetric
+        for max_len in range(4):
+            assert _distinguishing_queue(u, v, max_len) == list_distinguishing_queue(u, v, max_len), (u, v, max_len)
+
+
+def test_distinguishing_queue_memory_stays_bounded():
+    # no queue of length <= 5 separates these, so the search sees all 9,331
+    # candidates; holding a level of them as a list took megabytes
+    u = parse_queue_word("~a~b~c~d~e~f")
+    v = parse_queue_word("~a~b~c~d~e~a")
+    tracemalloc.start()
+    try:
+        assert _distinguishing_queue(u, v, 5) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
+def test_eq_finds_a_long_separating_queue(capsys):
+    code, out, _ = run(capsys, "eq", "~a~b~c~d~e~f~g~h", "~a~b~c~d~e~f~g~a")
+    assert (code, out) == (0, "DISTINGUISHED queue='abcdefga' lhs=BOTTOM rhs=\n")
 
 
 def test_action(capsys):

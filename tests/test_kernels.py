@@ -1,10 +1,10 @@
 """The linear queue, word, trace and alphabet kernels against their slow oracles.
 
-normal_form, overlap, nf_power, action and conjugacy_decomposition are
-checked against the quadratic versions in
-oracles.py: exhaustively at small sizes, with hypothesis on longer words
-over one to three letters (where centers get long), and on the edge cases
-by hand.  lex_normal_form and trace_equivalent are checked against the
+normal_form, overlap, nf_power, action, conjugacy_decomposition and the
+Knuth-Morris-Pratt step match_step, with its border table built on demand,
+are checked against the quadratic versions in oracles.py: exhaustively at
+small sizes, with hypothesis on longer words over one to three letters
+(where centers get long), and on the edge cases by hand.  lex_normal_form and trace_equivalent are checked against the
 greedy normal form, the pairwise-projection test and bfs_trace_class:
 exhaustively on small independence graphs, with hypothesis on random
 graphs of 8 to 28 letters.  The last tests keep every kernel linear: at
@@ -44,7 +44,7 @@ from quemon import (
     trace_equivalent,
 )
 from quemon.trace import dependence_stacks
-from quemon.words import prefix_function
+from quemon.words import match_step
 
 from oracles import (
     fold_normal_form,
@@ -53,6 +53,7 @@ from oracles import (
     projection_equivalent,
     scan_conjugacy_split,
     scan_overlap,
+    scan_prefix_function,
     slicing_action,
 )
 
@@ -151,10 +152,24 @@ def test_conjugacy_decomposition_matches_scan():
 
 
 def test_prefix_function_examples():
-    assert prefix_function(()) == []
-    assert prefix_function(tuple("a")) == [0]
-    assert prefix_function(tuple("aabaaab")) == [0, 1, 0, 1, 2, 2, 3]
-    assert prefix_function(tuple("abcabcab")) == [0, 0, 0, 1, 2, 3, 4, 5]
+    assert scan_prefix_function(()) == []
+    assert scan_prefix_function(tuple("a")) == [0]
+    assert scan_prefix_function(tuple("aabaaab")) == [0, 1, 0, 1, 2, 2, 3]
+    assert scan_prefix_function(tuple("abcabcab")) == [0, 0, 0, 1, 2, 3, 4, 5]
+
+
+def test_match_step_extends_any_partial_border_table():
+    for pattern in words_up_to(7, ("a", "b")):
+        full = scan_prefix_function(pattern)
+        n = len(pattern)
+        for k in range(n + 1):
+            for x in ("a", "b"):
+                text = pattern[:k] + (x,)
+                want = max(j for j in range(min(n, k + 1) + 1) if text[k + 1 - j:] == pattern[:j])
+                for built in range(n + 1):
+                    border = full[:built]
+                    assert match_step(pattern, border, k, x) == want, (pattern, k, x, built)
+                    assert len(border) >= built and border == full[: len(border)], (pattern, k, x, built)
 
 
 def _small_graphs():
@@ -362,6 +377,10 @@ def test_kernels_stay_linear_at_64000_actions():
     u = ("a",) * 64_000
     v = ("a",) * 32_000 + ("b",) + ("a",) * 32_000
     assert _timed(overlap, u, v) == ("a",) * 32_000
+    # the same deep fallback on every read, with the border table of pos
+    # built on demand: rebuilding it on each fallback would be quadratic
+    deep = v + tuple("~" + x for x in u)
+    assert _timed(normal_form, deep) == QueueNormalForm(("a",) * 32_000, ("a",) * 32_000, ("b",) + ("a",) * 32_000)
 
 
 def test_trace_kernels_stay_linear_at_64000_letters():
