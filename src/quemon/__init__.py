@@ -5,192 +5,125 @@ primitive roots, conjugacy), the queue monoid itself (semantics, normal
 forms, closed-form multiplication), and independence alphabets with their
 trace monoids, the embeddability decision, explicit embeddings, and
 verified witness equations.
-"""
 
-from .alphabet import (
-    BipartiteRecipe,
-    Embeddable,
-    GammaPartition,
-    IndependenceAlphabet,
-    MatchingRecipe,
-    MissingPair,
-    NotCompleteBipartite,
-    NotEmbeddable,
-    OddCycle,
-    TwoNontrivialComponents,
-    connected_components,
-    decide_embeddable,
-    gamma_partition,
-    is_complete_bipartite,
-    is_p4_free,
-)
-from .embed import (
-    PRODUCT_IDENTITY,
-    EmbeddingReport,
-    ProductWord,
-    binary_decode,
-    binary_encode,
-    bipartite_embedding,
-    embed_to_two_free,
-    eta_matching,
-    letter_images,
-    verify_embedding_bounded,
-)
-from .errors import (
-    AlphabetMismatchError,
-    CapExceededError,
-    DegenerateSystemError,
-    EmptyWordError,
-    IdentityImageError,
-    InternalError,
-    NotEmbeddableError,
-    NotPrimitiveError,
-    ParseError,
-    PreconditionError,
-    RecipeMismatchError,
-    RootMismatchError,
-    VerificationFailedError,
-)
-from .queue import (
-    BOTTOM,
-    DEFAULT_ALPHABET,
-    NF_IDENTITY,
-    QueueNormalForm,
-    action,
-    bfs_class_oracle,
-    equivalent,
-    format_normal_form,
-    format_queue_word,
-    format_state,
-    format_word,
-    generalized_shift,
-    mu,
-    multiply,
-    nf_power,
-    normal_form,
-    parse_normal_form,
-    parse_queue_word,
-    parse_word,
-    power_mu,
-    project_neg,
-    project_pos,
-    read_actions,
-    rewrite_nf_oracle,
-    write_actions,
-)
-from .trace import (
-    TraceWord,
-    bfs_trace_class,
-    clique_projection,
-    lex_normal_form,
-    trace_equivalent,
-)
-from .witness import (
-    WitnessReport,
-    conjugacy_profile,
-    conjugated_witness,
-    mixed_exponent,
-    nonconjugated_witness,
-    p2p3_witness,
-    p4_witness,
-    solve_projection_system,
-)
-from .words import (
-    ConjugacyDecomposition,
-    conjugacy_decomposition,
-    is_primitive,
-    overlap,
-    overlap_gq,
-    power_exponent,
-    primitive_root,
-    sandwich_form,
-)
+`import quemon` loads no submodule.  Each public name below is imported
+from its submodule on first access (PEP 562) and then cached here, so a
+program pays only for the layers it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetMismatchError",
-    "BOTTOM",
-    "BipartiteRecipe",
-    "CapExceededError",
-    "ConjugacyDecomposition",
-    "DEFAULT_ALPHABET",
-    "DegenerateSystemError",
-    "Embeddable",
-    "EmbeddingReport",
-    "EmptyWordError",
-    "GammaPartition",
-    "IdentityImageError",
-    "IndependenceAlphabet",
-    "InternalError",
-    "MatchingRecipe",
-    "MissingPair",
-    "NF_IDENTITY",
-    "NotCompleteBipartite",
-    "NotEmbeddable",
-    "NotEmbeddableError",
-    "NotPrimitiveError",
-    "OddCycle",
-    "PRODUCT_IDENTITY",
-    "ParseError",
-    "PreconditionError",
-    "ProductWord",
-    "QueueNormalForm",
-    "RecipeMismatchError",
-    "RootMismatchError",
-    "TraceWord",
-    "TwoNontrivialComponents",
-    "VerificationFailedError",
-    "WitnessReport",
-    "action",
-    "bfs_class_oracle",
-    "bfs_trace_class",
-    "binary_decode",
-    "binary_encode",
-    "bipartite_embedding",
-    "clique_projection",
-    "conjugacy_decomposition",
-    "conjugacy_profile",
-    "conjugated_witness",
-    "connected_components",
-    "decide_embeddable",
-    "embed_to_two_free",
-    "equivalent",
-    "eta_matching",
-    "format_normal_form",
-    "format_queue_word",
-    "format_state",
-    "format_word",
-    "gamma_partition",
-    "generalized_shift",
-    "is_complete_bipartite",
-    "is_p4_free",
-    "is_primitive",
-    "letter_images",
-    "lex_normal_form",
-    "mixed_exponent",
-    "mu",
-    "multiply",
-    "nf_power",
-    "nonconjugated_witness",
-    "normal_form",
-    "overlap",
-    "overlap_gq",
-    "p2p3_witness",
-    "p4_witness",
-    "parse_normal_form",
-    "parse_queue_word",
-    "parse_word",
-    "power_exponent",
-    "power_mu",
-    "primitive_root",
-    "project_neg",
-    "project_pos",
-    "read_actions",
-    "rewrite_nf_oracle",
-    "sandwich_form",
-    "solve_projection_system",
-    "trace_equivalent",
-    "verify_embedding_bounded",
-    "write_actions",
-]
+_EXPORTS = {
+    "alphabet": (
+        "BipartiteRecipe",
+        "Embeddable",
+        "GammaPartition",
+        "IndependenceAlphabet",
+        "MatchingRecipe",
+        "MissingPair",
+        "NotCompleteBipartite",
+        "NotEmbeddable",
+        "OddCycle",
+        "TwoNontrivialComponents",
+        "connected_components",
+        "decide_embeddable",
+        "gamma_partition",
+        "is_complete_bipartite",
+        "is_p4_free",
+    ),
+    "embed": (
+        "PRODUCT_IDENTITY",
+        "EmbeddingReport",
+        "ProductWord",
+        "binary_decode",
+        "binary_encode",
+        "bipartite_embedding",
+        "embed_to_two_free",
+        "eta_matching",
+        "letter_images",
+        "verify_embedding_bounded",
+    ),
+    "errors": (
+        "AlphabetMismatchError",
+        "CapExceededError",
+        "DegenerateSystemError",
+        "EmptyWordError",
+        "IdentityImageError",
+        "InternalError",
+        "NotEmbeddableError",
+        "NotPrimitiveError",
+        "ParseError",
+        "PreconditionError",
+        "RecipeMismatchError",
+        "RootMismatchError",
+        "VerificationFailedError",
+    ),
+    "queue": (
+        "BOTTOM",
+        "DEFAULT_ALPHABET",
+        "NF_IDENTITY",
+        "QueueNormalForm",
+        "action",
+        "equivalent",
+        "format_normal_form",
+        "format_queue_word",
+        "format_state",
+        "format_word",
+        "multiply",
+        "nf_power",
+        "normal_form",
+        "parse_normal_form",
+        "parse_queue_word",
+        "parse_word",
+        "power_mu",
+        "project_neg",
+        "project_pos",
+        "read_actions",
+        "write_actions",
+    ),
+    "trace": (
+        "TraceWord",
+        "clique_projection",
+        "lex_normal_form",
+        "trace_equivalent",
+    ),
+    "witness": (
+        "WitnessReport",
+        "conjugacy_profile",
+        "conjugated_witness",
+        "mixed_exponent",
+        "nonconjugated_witness",
+        "p2p3_witness",
+        "p4_witness",
+        "solve_projection_system",
+    ),
+    "words": (
+        "ConjugacyDecomposition",
+        "conjugacy_decomposition",
+        "is_primitive",
+        "overlap",
+        "overlap_gq",
+        "power_exponent",
+        "primitive_root",
+        "sandwich_form",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:  # a submodule, as `quemon.queue` after `import quemon`
+        return import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

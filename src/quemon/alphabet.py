@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import IdentityImageError, ParseError, PreconditionError
 from .queue import QueueWord, project_neg, project_pos
@@ -57,7 +56,7 @@ class IndependenceAlphabet:
                 raise ParseError(f"independence pair must have two letters, got {pair!r}")
             a, b = pair
             for x in (a, b):
-                if x not in self._rank:
+                if not isinstance(x, str) or x not in self._rank:
                     raise ParseError(f"unknown letter {x!r} in pair {pair!r}")
             if a == b:
                 raise ParseError(f"self-pair ({a!r}, {b!r}) is not allowed")
@@ -137,7 +136,7 @@ class IndependenceAlphabet:
         if not isinstance(letters, list):
             raise ParseError("'letters' must be a list")
         independent = obj.get("independent", [])
-        if not isinstance(independent, list):
+        if not isinstance(independent, list) or not all(isinstance(p, list) for p in independent):
             raise ParseError("'independent' must be a list of pairs")
         return cls(letters, independent)
 
@@ -145,14 +144,19 @@ class IndependenceAlphabet:
     def loads(cls, text: str) -> "IndependenceAlphabet":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, integers past the digit limit, deep nesting
             raise ParseError(f"invalid JSON: {exc}") from exc
         return cls.from_json(obj)
 
     @classmethod
     def load(cls, path: str) -> "IndependenceAlphabet":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"alphabet file is not UTF-8: {exc}") from exc
+        return cls.loads(text)
 
 
 # -- graph structure ---------------------------------------------------------
@@ -178,15 +182,13 @@ def connected_components(g: IndependenceAlphabet) -> list[tuple[Letter, ...]]:
     return [tuple(c) for c in out]
 
 
-@dataclass(frozen=True)
-class OddCycle:
+class OddCycle(NamedTuple):
     """Closed walk of odd length; consecutive vertices are independent pairs."""
 
     vertices: tuple[Letter, ...]
 
 
-@dataclass(frozen=True)
-class MissingPair:
+class MissingPair(NamedTuple):
     """Two letters on opposite sides of the attempted bipartition with no edge."""
 
     pair: tuple[Letter, Letter]
@@ -300,8 +302,7 @@ def is_p4_free(g: IndependenceAlphabet) -> tuple[Letter, Letter, Letter, Letter]
 Role = str  # 'a', 'b', or 'isolated'
 
 
-@dataclass(frozen=True, eq=True)
-class MatchingRecipe:
+class MatchingRecipe(NamedTuple):
     """Pairing for alphabets of maximum degree one.
 
     Maps each letter to (index, role); partners share an index, the letter
@@ -312,8 +313,7 @@ class MatchingRecipe:
     pairing: Mapping[Letter, tuple[int, Role]]
 
 
-@dataclass(frozen=True, eq=True)
-class BipartiteRecipe:
+class BipartiteRecipe(NamedTuple):
     """Parts of the unique nontrivial component plus the isolated letters."""
 
     part1: tuple[Letter, ...]
@@ -321,25 +321,21 @@ class BipartiteRecipe:
     isolated: tuple[Letter, ...]
 
 
-@dataclass(frozen=True, eq=True)
-class TwoNontrivialComponents:
+class TwoNontrivialComponents(NamedTuple):
     """One edge from each of two distinct components that both have edges."""
 
     edges: tuple[tuple[Letter, Letter], tuple[Letter, Letter]]
 
 
-@dataclass(frozen=True, eq=True)
-class NotCompleteBipartite:
+class NotCompleteBipartite(NamedTuple):
     witness: BipartiteWitness
 
 
-@dataclass(frozen=True, eq=True)
-class Embeddable:
+class Embeddable(NamedTuple):
     recipe: Union[MatchingRecipe, BipartiteRecipe]
 
 
-@dataclass(frozen=True, eq=True)
-class NotEmbeddable:
+class NotEmbeddable(NamedTuple):
     reason: Union[TwoNontrivialComponents, NotCompleteBipartite]
 
 
@@ -389,8 +385,7 @@ def decide_embeddable(g: IndependenceAlphabet) -> Classification:
 
 # -- sign pattern of letter images in the queue monoid -----------------------
 
-@dataclass(frozen=True, eq=True)
-class GammaPartition:
+class GammaPartition(NamedTuple):
     """Letters split by which projections of their image are nonempty."""
 
     plus: tuple[Letter, ...]

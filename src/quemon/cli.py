@@ -5,28 +5,21 @@ Exit codes: 0 on success, 2 on parse errors (including bad command lines),
 alphabet, 5 when a computation stops at runtime: a search or iteration
 bound is exceeded, a witness equation fails its check, or an internal
 self-check fails.
+
+A quemon process runs one command, so this module imports at load time only
+argparse, the exceptions and the queue parsing and formatting helpers.
+Each command imports what it runs: alphabets, traces and embeddings for
+`decide`, `traceeq`, `lexnf`, `embed` and `--alphabet`; the witness
+builders only for `witness`; json only when a payload is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from typing import Sequence
 
-from .alphabet import (
-    BipartiteRecipe,
-    IndependenceAlphabet,
-    MatchingRecipe,
-    MissingPair,
-    NotCompleteBipartite,
-    NotEmbeddable,
-    OddCycle,
-    TwoNontrivialComponents,
-    decide_embeddable,
-)
-from .embed import embed_to_two_free
 from .errors import (
     CapExceededError,
     InternalError,
@@ -41,7 +34,6 @@ from .queue import (
     action_letter,
     equivalent,
     format_normal_form,
-    format_queue_word,
     format_state,
     format_word,
     multiply,
@@ -49,14 +41,6 @@ from .queue import (
     parse_queue_word,
     parse_word,
 )
-from .trace import TraceWord, lex_normal_form, trace_equivalent
-from .witness import (
-    conjugated_witness,
-    nonconjugated_witness,
-    p2p3_witness,
-    p4_witness,
-)
-from .words import ConjugacyDecomposition
 
 _WITNESS_ARGS = {
     "p2p3": ("U", "V", "W"),
@@ -137,12 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _letters(ns: argparse.Namespace) -> tuple[str, ...]:
     if getattr(ns, "alphabet", None):
+        from .alphabet import IndependenceAlphabet
+
         return IndependenceAlphabet.load(ns.alphabet).letters
     return DEFAULT_ALPHABET
 
 
 def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
     if ns.json:
+        import json
+
         print(json.dumps(payload, sort_keys=False))
     else:
         print(text)
@@ -157,67 +145,34 @@ def _nf_payload(nf) -> dict:
     }
 
 
-def _reason_text(reason) -> str:
-    if isinstance(reason, NotCompleteBipartite):
-        reason = reason.witness
-    if isinstance(reason, OddCycle):
-        return "odd cycle " + " ".join(reason.vertices)
-    if isinstance(reason, MissingPair):
-        return "missing pair " + " ".join(reason.pair)
-    if isinstance(reason, TwoNontrivialComponents):
-        return "two nontrivial components " + ", ".join(
-            "-".join(edge) for edge in reason.edges
-        )
-    return str(reason)
+def _describe(record) -> tuple[object, str]:
+    """JSON payload and text line for a decide verdict or for the reason an
+    alphabet is not embeddable; anything else is shown by its str().
 
+    The one place the CLI looks inside the verdict records.
+    """
+    from .alphabet import (
+        Embeddable,
+        MatchingRecipe,
+        MissingPair,
+        NotCompleteBipartite,
+        NotEmbeddable,
+        OddCycle,
+        TwoNontrivialComponents,
+    )
 
-def _reason_payload(reason) -> dict:
-    if isinstance(reason, NotCompleteBipartite):
-        reason = reason.witness
-    if isinstance(reason, OddCycle):
-        return {"kind": "odd-cycle", "vertices": list(reason.vertices)}
-    if isinstance(reason, MissingPair):
-        return {"kind": "missing-pair", "pair": list(reason.pair)}
-    assert isinstance(reason, TwoNontrivialComponents)
-    return {
-        "kind": "two-nontrivial-components",
-        "edges": [list(edge) for edge in reason.edges],
-    }
-
-
-def _cmd_decide(ns: argparse.Namespace) -> int:
-    g = IndependenceAlphabet.load(ns.file)
-    verdict = decide_embeddable(g)
-    if isinstance(verdict, NotEmbeddable):
-        reason = verdict.reason
-        text = "NOT EMBEDDABLE: " + _reason_text(reason)
-        payload = {"embeddable": False, "reason": _reason_payload(reason)}
-        _emit(ns, payload, text)
-        return 0
-
-    recipe = verdict.recipe
-    if isinstance(recipe, MatchingRecipe):
-        parts = [
-            f"{letter}->{index}/{role}"
-            for letter, (index, role) in recipe.pairing.items()
-        ]
-        text = "EMBEDDABLE (matching): " + " ".join(parts)
-        payload = {
-            "embeddable": True,
-            "kind": "matching",
-            "pairing": {
-                letter: {"index": index, "role": role}
-                for letter, (index, role) in recipe.pairing.items()
-            },
-        }
-    else:
-        assert isinstance(recipe, BipartiteRecipe)
-        text = (
-            "EMBEDDABLE (complete bipartite): "
-            f"C1={{{','.join(recipe.part1)}}} "
-            f"C2={{{','.join(recipe.part2)}}} "
-            f"isolated={{{','.join(recipe.isolated)}}}"
-        )
+    if isinstance(record, Embeddable):
+        recipe = record.recipe
+        if isinstance(recipe, MatchingRecipe):
+            pairing = recipe.pairing.items()
+            payload = {
+                "embeddable": True,
+                "kind": "matching",
+                "pairing": {x: {"index": i, "role": role} for x, (i, role) in pairing},
+            }
+            return payload, "EMBEDDABLE (matching): " + " ".join(
+                f"{x}->{i}/{role}" for x, (i, role) in pairing
+            )
         payload = {
             "embeddable": True,
             "kind": "bipartite",
@@ -225,7 +180,38 @@ def _cmd_decide(ns: argparse.Namespace) -> int:
             "part2": list(recipe.part2),
             "isolated": list(recipe.isolated),
         }
-    _emit(ns, payload, text)
+        return payload, (
+            "EMBEDDABLE (complete bipartite): "
+            f"C1={{{','.join(recipe.part1)}}} "
+            f"C2={{{','.join(recipe.part2)}}} "
+            f"isolated={{{','.join(recipe.isolated)}}}"
+        )
+    if isinstance(record, NotEmbeddable):
+        payload, text = _describe(record.reason)
+        return {"embeddable": False, "reason": payload}, "NOT EMBEDDABLE: " + text
+    if isinstance(record, NotCompleteBipartite):
+        record = record.witness
+    if isinstance(record, OddCycle):
+        payload = {"kind": "odd-cycle", "vertices": list(record.vertices)}
+        return payload, "odd cycle " + " ".join(record.vertices)
+    if isinstance(record, MissingPair):
+        payload = {"kind": "missing-pair", "pair": list(record.pair)}
+        return payload, "missing pair " + " ".join(record.pair)
+    if isinstance(record, TwoNontrivialComponents):
+        payload = {
+            "kind": "two-nontrivial-components",
+            "edges": [list(edge) for edge in record.edges],
+        }
+        return payload, "two nontrivial components " + ", ".join(
+            "-".join(edge) for edge in record.edges
+        )
+    return str(record), str(record)
+
+
+def _cmd_decide(ns: argparse.Namespace) -> int:
+    from .alphabet import IndependenceAlphabet, decide_embeddable
+
+    _emit(ns, *_describe(decide_embeddable(IndependenceAlphabet.load(ns.file))))
     return 0
 
 
@@ -293,6 +279,9 @@ def _cmd_action(ns: argparse.Namespace) -> int:
 
 
 def _cmd_traceeq(ns: argparse.Namespace) -> int:
+    from .alphabet import IndependenceAlphabet
+    from .trace import TraceWord, trace_equivalent
+
     g = IndependenceAlphabet.load(ns.file)
     u = TraceWord(g, parse_word(ns.word1, g.letters))
     v = TraceWord(g, parse_word(ns.word2, g.letters))
@@ -302,6 +291,9 @@ def _cmd_traceeq(ns: argparse.Namespace) -> int:
 
 
 def _cmd_lexnf(ns: argparse.Namespace) -> int:
+    from .alphabet import IndependenceAlphabet
+    from .trace import TraceWord, lex_normal_form
+
     g = IndependenceAlphabet.load(ns.file)
     u = TraceWord(g, parse_word(ns.word, g.letters))
     nf = format_word(lex_normal_form(u).word)
@@ -310,6 +302,10 @@ def _cmd_lexnf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_embed(ns: argparse.Namespace) -> int:
+    from .alphabet import IndependenceAlphabet
+    from .embed import embed_to_two_free
+    from .trace import TraceWord
+
     g = IndependenceAlphabet.load(ns.file)
     u = TraceWord(g, parse_word(ns.word, g.letters))
     image = embed_to_two_free(g, u)
@@ -324,6 +320,11 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
 
 
 def _cmd_witness(ns: argparse.Namespace) -> int:
+    import json
+
+    from .witness import conjugated_witness, nonconjugated_witness, p2p3_witness, p4_witness
+    from .words import ConjugacyDecomposition
+
     expected = _WITNESS_ARGS[ns.kind]
     if len(ns.args) != len(expected):
         raise ParseError(
@@ -370,7 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[ns.command](ns)
     except NotEmbeddableError as exc:
-        print(f"not embeddable: {_reason_text(exc.args[0])}", file=sys.stderr)
+        print(f"not embeddable: {_describe(exc.args[0])[1]}", file=sys.stderr)
         return 4
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ two-letter alphabets in both cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .alphabet import (
     BipartiteRecipe,
@@ -27,8 +26,7 @@ from .trace import TraceWord, clique_projection, dependence_stacks
 from .words import Letter, Word
 
 
-@dataclass(frozen=True)
-class ProductWord:
+class ProductWord(NamedTuple):
     """Element of a direct product of two free monoids."""
 
     first: Word
@@ -176,8 +174,7 @@ def letter_images(g: IndependenceAlphabet) -> dict[Letter, ProductWord]:
     return {x: embed_to_two_free(g, TraceWord(g, (x,))) for x in g.letters}
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Outcome of a bounded injectivity-and-invariance check."""
 
     ok: bool

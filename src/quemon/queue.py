@@ -43,21 +43,15 @@ the queue instead of slicing it.
 
 from __future__ import annotations
 
-import string
-from typing import Collection, Iterable, NamedTuple, Union
+from typing import Collection, NamedTuple, Union
 
-from .errors import (
-    CapExceededError,
-    InternalError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import InternalError, ParseError, PreconditionError
 from .words import Letter, Word, match_step, overlap
 
 Action = str  # 'x' writes letter x, '~x' reads letter x
 QueueWord = tuple[Action, ...]
 
-DEFAULT_ALPHABET: tuple[Letter, ...] = tuple(string.ascii_lowercase)
+DEFAULT_ALPHABET: tuple[Letter, ...] = tuple("abcdefghijklmnopqrstuvwxyz")
 
 
 class _BottomType:
@@ -193,11 +187,6 @@ def normal_form(w: QueueWord) -> QueueNormalForm:
     return QueueNormalForm(tuple(neg[: len(neg) - k]), tuple(pos[:k]), tuple(pos[k:]))
 
 
-def mu(w: QueueWord) -> Word:
-    """Center of the normal form of w."""
-    return normal_form(w).center
-
-
 def nf_power(x: QueueNormalForm, n: int) -> QueueNormalForm:
     """n-th power of a class given in normal form, n >= 0.
 
@@ -214,7 +203,7 @@ def nf_power(x: QueueNormalForm, n: int) -> QueueNormalForm:
 def power_mu(x: QueueNormalForm, n: int) -> Word:
     """Center of the n-th power, computed in closed form, n >= 1.
 
-    mu(x^n) = overlap(center(x) . neg(x)^(n-1), pos(x)^(n-1) . center(x)).
+    center(x^n) = overlap(center(x) . neg(x)^(n-1), pos(x)^(n-1) . center(x)).
     """
     if n < 1:
         raise PreconditionError("exponent must be positive")
@@ -224,113 +213,6 @@ def power_mu(x: QueueNormalForm, n: int) -> Word:
 def equivalent(u: QueueWord, v: QueueWord) -> bool:
     """Whether u and v act identically on every queue."""
     return normal_form(u) == normal_form(v)
-
-
-# -- reference implementations used as oracles in the test suite ------------
-
-def rewrite_nf_oracle(w: QueueWord) -> QueueWord:
-    """Normal form by exhaustive rewriting with the three directed rules.
-
-    Applies the leftmost applicable rule until a fixpoint is reached.  Each
-    application moves one read a position to the left, so at most |w|^2 + |w|
-    steps can occur; exceeding that bound raises CapExceededError.
-    """
-    word = list(w)
-    n = len(word)
-    cap = n * n + n
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            a = word[i]
-            if a.startswith("~") or i + 1 >= n:
-                continue
-            b = word[i + 1]
-            if b.startswith("~"):
-                if b[1:] != a:
-                    word[i], word[i + 1] = b, a  # a ~b -> ~b a
-                elif i + 2 < n and word[i + 2].startswith("~"):
-                    word[i], word[i + 1] = b, a  # a ~b ~c -> ~b a ~c
-                else:
-                    continue
-            else:
-                if i + 2 < n and word[i + 2].startswith("~"):
-                    word[i + 1], word[i + 2] = word[i + 2], b  # a b ~c -> a ~c b
-                else:
-                    continue
-            changed = True
-            steps += 1
-            if steps > cap:
-                raise CapExceededError("rewriting exceeded its step bound")
-            break
-    return tuple(word)
-
-
-def bfs_class_oracle(w: QueueWord, cap: int = 1_000_000) -> set[QueueWord]:
-    """The full equivalence class of w, by closure under the undirected rules."""
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    while frontier:
-        nxt: list[QueueWord] = []
-        for u in frontier:
-            for v in _neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    if len(seen) > cap:
-                        raise CapExceededError("equivalence class exceeds cap")
-                    nxt.append(v)
-        frontier = nxt
-    return seen
-
-
-def _neighbors(u: QueueWord) -> Iterable[QueueWord]:
-    n = len(u)
-    for i in range(n - 1):
-        a, b = u[i], u[i + 1]
-        a_read, b_read = a.startswith("~"), b.startswith("~")
-        if not a_read and b_read:
-            if b[1:] != a:
-                yield u[:i] + (b, a) + u[i + 2:]  # a ~b <-> ~b a
-            if i + 2 < n and u[i + 2].startswith("~"):
-                yield u[:i] + (b, a) + u[i + 2:]  # a ~b ~c <-> ~b a ~c
-        if a_read and not b_read:
-            if i + 2 < n and u[i + 2].startswith("~"):
-                yield u[:i] + (b, a) + u[i + 2:]  # ~b a ~c <-> a ~b ~c
-            if a[1:] != b:
-                yield u[:i] + (b, a) + u[i + 2:]  # ~b a <-> a ~b
-        if not a_read and not b_read and i + 2 < n and u[i + 2].startswith("~"):
-            yield u[:i] + (a, u[i + 2], b) + u[i + 3:]  # a b ~c <-> a ~c b
-        if not a_read and b_read and i + 2 < n and not u[i + 2].startswith("~"):
-            yield u[:i] + (a, u[i + 2], b) + u[i + 3:]  # a ~c b <-> a b ~c
-    return
-
-
-def generalized_shift(
-    u: Word, v: Word, w: Word, side: str
-) -> tuple[QueueWord, QueueWord, bool]:
-    """Shift identities between blocks of writes and reads.
-
-    side='read-block' requires |u| <= |w| and relates
-        writes(u) reads(v) reads(w)  ==  reads(v) writes(u) reads(w);
-    side='write-block' requires |u| >= |w| and relates
-        writes(u) writes(v) reads(w)  ==  writes(u) reads(w) writes(v).
-
-    Returns (lhs, rhs, holds) with holds decided by normal forms.
-    """
-    if side == "read-block":
-        if len(u) > len(w):
-            raise PreconditionError("read-block shift needs |u| <= |w|")
-        lhs = write_actions(u) + read_actions(v) + read_actions(w)
-        rhs = read_actions(v) + write_actions(u) + read_actions(w)
-    elif side == "write-block":
-        if len(u) < len(w):
-            raise PreconditionError("write-block shift needs |u| >= |w|")
-        lhs = write_actions(u) + write_actions(v) + read_actions(w)
-        rhs = write_actions(u) + read_actions(w) + write_actions(v)
-    else:
-        raise PreconditionError(f"unknown side {side!r}")
-    return lhs, rhs, equivalent(lhs, rhs)
 
 
 # -- text syntax -------------------------------------------------------------

@@ -21,24 +21,49 @@ leaves the stacks of the rest of the word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .alphabet import IndependenceAlphabet
-from .errors import AlphabetMismatchError, CapExceededError, PreconditionError
+from .errors import AlphabetMismatchError, PreconditionError
 from .words import Letter, Word
 
 
-@dataclass(frozen=True)
 class TraceWord:
-    alphabet: IndependenceAlphabet
-    word: Word
+    """A word over an independence alphabet; every letter must belong to it.
 
-    def __post_init__(self) -> None:
-        for x in self.word:
-            if x not in self.alphabet:
+    Immutable, compared and hashed by (alphabet, word); len() is the length
+    of the word.
+    """
+
+    __slots__ = ("alphabet", "word")
+
+    def __init__(self, alphabet: IndependenceAlphabet, word: Word) -> None:
+        for x in word:
+            if x not in alphabet:
                 raise PreconditionError(f"letter {x!r} not in the alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"TraceWord(alphabet={self.alphabet!r}, word={self.word!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.word) == (other.alphabet, other.word)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.word))
+
+    def __reduce__(self) -> tuple:
+        return (TraceWord, (self.alphabet, self.word))
 
     def __mul__(self, other: "TraceWord") -> "TraceWord":
         if self.alphabet != other.alphabet:
@@ -113,26 +138,6 @@ def trace_equivalent(u: TraceWord, v: TraceWord) -> bool:
     if len(u.word) != len(v.word):
         return False
     return _stacks(u) == _stacks(v)
-
-
-def bfs_trace_class(u: TraceWord, cap: int = 1_000_000) -> set[Word]:
-    """All words of u's class, by closure under adjacent independent swaps."""
-    g = u.alphabet
-    seen = {u.word}
-    frontier = [u.word]
-    while frontier:
-        nxt: list[Word] = []
-        for w in frontier:
-            for i in range(len(w) - 1):
-                if g.independent(w[i], w[i + 1]):
-                    s = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                    if s not in seen:
-                        seen.add(s)
-                        if len(seen) > cap:
-                            raise CapExceededError("trace class exceeds cap")
-                        nxt.append(s)
-        frontier = nxt
-    return seen
 
 
 def clique_projection(u: TraceWord, letters: Sequence[Letter]) -> Word:

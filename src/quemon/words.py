@@ -12,7 +12,6 @@ rarely mismatches builds little of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -106,22 +105,43 @@ def power_exponent(w: Word, base: Word) -> int | None:
     return k
 
 
-@dataclass(frozen=True)
 class ConjugacyDecomposition:
     """A split (g, h) witnessing that p = gh and q = hg are conjugate.
 
     h must be nonempty and gh primitive; every rotation of a primitive word
-    is again primitive, so hg needs no separate check.
+    is again primitive, so hg needs no separate check.  Immutable, compared
+    and hashed by (g, h).
     """
 
-    g: Word
-    h: Word
+    __slots__ = ("g", "h")
 
-    def __post_init__(self) -> None:
-        if not self.h:
+    def __init__(self, g: Word, h: Word) -> None:
+        if not h:
             raise EmptyWordError("h must be nonempty")
-        if not is_primitive(self.g + self.h):
-            raise NotPrimitiveError(f"gh is not primitive: {self.g + self.h!r}")
+        if not is_primitive(g + h):
+            raise NotPrimitiveError(f"gh is not primitive: {g + h!r}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"ConjugacyDecomposition(g={self.g!r}, h={self.h!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.h) == (other.g, other.h)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.h))
+
+    def __reduce__(self) -> tuple:
+        return (ConjugacyDecomposition, (self.g, self.h))
 
     @property
     def p(self) -> Word:

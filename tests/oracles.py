@@ -1,4 +1,5 @@
-"""Slow reference implementations of the queue, word and trace kernels.
+"""Slow reference implementations of the queue, word and trace kernels,
+and the brute-force oracles the tests check the library against.
 
 These are the straightforward quadratic versions that the linear kernels in
 quemon replaced: the prefix function and the overlap by scanning every
@@ -9,12 +10,26 @@ normal form by greedy rescans, trace equivalence by projections onto
 every dependent pair, and the separating-queue search of `quemon eq` with
 every level of candidates held in a list.  They share no code with the kernels they check: the
 product here is rebuilt on the scanning overlap, and the trace oracles ask
-the alphabet only which pairs are independent.
+the alphabet only which pairs are independent.  The brute-force oracles
+come last: the normal form by exhaustive rewriting, and whole equivalence
+classes by breadth-first closure under the rewrite rules or under swaps of
+independent letters.  Next to them, stated through the library's normal
+form, are mu (the center alone) and the block-shift identities.
 """
 
 import itertools
 
-from quemon import BOTTOM, NF_IDENTITY, QueueNormalForm
+from quemon import (
+    BOTTOM,
+    NF_IDENTITY,
+    CapExceededError,
+    PreconditionError,
+    QueueNormalForm,
+    equivalent,
+    normal_form,
+    read_actions,
+    write_actions,
+)
 
 
 def scan_prefix_function(w):
@@ -130,3 +145,130 @@ def projection_equivalent(g, u, v):
             if [x for x in u if x in keep] != [x for x in v if x in keep]:
                 return False
     return True
+
+
+def mu(w):
+    """Center of the normal form of w."""
+    return normal_form(w).center
+
+
+def rewrite_nf_oracle(w):
+    """Normal form by exhaustive rewriting with the three directed rules.
+
+    Applies the leftmost applicable rule until a fixpoint is reached.  Each
+    application moves one read a position to the left, so at most |w|^2 + |w|
+    steps can occur; exceeding that bound raises CapExceededError.
+    """
+    word = list(w)
+    n = len(word)
+    cap = n * n + n
+    steps = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            a = word[i]
+            if a.startswith("~") or i + 1 >= n:
+                continue
+            b = word[i + 1]
+            if b.startswith("~"):
+                if b[1:] != a:
+                    word[i], word[i + 1] = b, a  # a ~b -> ~b a
+                elif i + 2 < n and word[i + 2].startswith("~"):
+                    word[i], word[i + 1] = b, a  # a ~b ~c -> ~b a ~c
+                else:
+                    continue
+            else:
+                if i + 2 < n and word[i + 2].startswith("~"):
+                    word[i + 1], word[i + 2] = word[i + 2], b  # a b ~c -> a ~c b
+                else:
+                    continue
+            changed = True
+            steps += 1
+            if steps > cap:
+                raise CapExceededError("rewriting exceeded its step bound")
+            break
+    return tuple(word)
+
+
+def bfs_class_oracle(w, cap=1_000_000):
+    """The full equivalence class of w, by closure under the undirected rules."""
+    seen = {tuple(w)}
+    frontier = [tuple(w)]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in _neighbors(u):
+                if v not in seen:
+                    seen.add(v)
+                    if len(seen) > cap:
+                        raise CapExceededError("equivalence class exceeds cap")
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def _neighbors(u):
+    n = len(u)
+    for i in range(n - 1):
+        a, b = u[i], u[i + 1]
+        a_read, b_read = a.startswith("~"), b.startswith("~")
+        if not a_read and b_read:
+            if b[1:] != a:
+                yield u[:i] + (b, a) + u[i + 2:]  # a ~b <-> ~b a
+            if i + 2 < n and u[i + 2].startswith("~"):
+                yield u[:i] + (b, a) + u[i + 2:]  # a ~b ~c <-> ~b a ~c
+        if a_read and not b_read:
+            if i + 2 < n and u[i + 2].startswith("~"):
+                yield u[:i] + (b, a) + u[i + 2:]  # ~b a ~c <-> a ~b ~c
+            if a[1:] != b:
+                yield u[:i] + (b, a) + u[i + 2:]  # ~b a <-> a ~b
+        if not a_read and not b_read and i + 2 < n and u[i + 2].startswith("~"):
+            yield u[:i] + (a, u[i + 2], b) + u[i + 3:]  # a b ~c <-> a ~c b
+        if not a_read and b_read and i + 2 < n and not u[i + 2].startswith("~"):
+            yield u[:i] + (a, u[i + 2], b) + u[i + 3:]  # a ~c b <-> a b ~c
+
+
+def generalized_shift(u, v, w, side):
+    """Shift identities between blocks of writes and reads.
+
+    side='read-block' requires |u| <= |w| and relates
+        writes(u) reads(v) reads(w)  ==  reads(v) writes(u) reads(w);
+    side='write-block' requires |u| >= |w| and relates
+        writes(u) writes(v) reads(w)  ==  writes(u) reads(w) writes(v).
+
+    Returns (lhs, rhs, holds) with holds decided by normal forms.
+    """
+    if side == "read-block":
+        if len(u) > len(w):
+            raise PreconditionError("read-block shift needs |u| <= |w|")
+        lhs = write_actions(u) + read_actions(v) + read_actions(w)
+        rhs = read_actions(v) + write_actions(u) + read_actions(w)
+    elif side == "write-block":
+        if len(u) < len(w):
+            raise PreconditionError("write-block shift needs |u| >= |w|")
+        lhs = write_actions(u) + write_actions(v) + read_actions(w)
+        rhs = write_actions(u) + read_actions(w) + write_actions(v)
+    else:
+        raise PreconditionError(f"unknown side {side!r}")
+    return lhs, rhs, equivalent(lhs, rhs)
+
+
+def bfs_trace_class(u, cap=1_000_000):
+    """All words of u's class, by closure under adjacent independent swaps."""
+    g = u.alphabet
+    seen = {u.word}
+    frontier = [u.word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(len(w) - 1):
+                if g.independent(w[i], w[i + 1]):
+                    s = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                    if s not in seen:
+                        seen.add(s)
+                        if len(seen) > cap:
+                            raise CapExceededError("trace class exceeds cap")
+                        nxt.append(s)
+        frontier = nxt
+    return seen

@@ -19,12 +19,10 @@ from quemon import (
     QueueNormalForm,
     TraceWord,
     TwoNontrivialComponents,
-    bfs_class_oracle,
     bipartite_embedding,
     conjugacy_profile,
     conjugated_witness,
     decide_embeddable,
-    generalized_shift,
     is_primitive,
     letter_images,
     lex_normal_form,
@@ -39,7 +37,6 @@ from quemon import (
     p2p3_witness,
     p4_witness,
     power_mu,
-    rewrite_nf_oracle,
     sandwich_form,
     verify_embedding_bounded,
 )
@@ -50,6 +47,7 @@ from batteries import (
     P2P3_BATTERY,
     P4_BATTERY,
 )
+from oracles import bfs_class_oracle, generalized_shift, rewrite_nf_oracle
 
 ACTIONS = ("a", "b", "~a", "~b")
 AB = ("a", "b")

@@ -279,6 +279,22 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert err.startswith("cannot read input:")
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+    b'{"letters": [' + b"1" * 5_000 + b"]}",  # integer past the digit limit
+    b'{"letters": ["a"], "independent": [5]}',  # a pair that is not a list
+    b'{"letters": ["a"], "independent": [["a", ["b"]]]}',  # an unhashable letter
+], ids=["not-utf8", "deep-nesting", "long-integer", "scalar-pair", "list-letter"])
+def test_hostile_alphabet_files_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "alphabet.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "decide", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert err.count("\n") == 1
+
+
 def test_cap_exceeded_exits_5(capsys, monkeypatch):
     import quemon.witness
 

@@ -31,7 +31,6 @@ from quemon import (
     QueueNormalForm,
     TraceWord,
     action,
-    bfs_trace_class,
     conjugacy_decomposition,
     decide_embeddable,
     equivalent,
@@ -47,6 +46,7 @@ from quemon.trace import dependence_stacks
 from quemon.words import match_step
 
 from oracles import (
+    bfs_trace_class,
     fold_normal_form,
     greedy_lex_normal_form,
     iterated_nf_power,

@@ -18,14 +18,11 @@ from quemon import (
     PreconditionError,
     QueueNormalForm,
     action,
-    bfs_class_oracle,
     equivalent,
     format_normal_form,
     format_queue_word,
     format_state,
     format_word,
-    generalized_shift,
-    mu,
     multiply,
     nf_power,
     normal_form,
@@ -35,10 +32,15 @@ from quemon import (
     power_mu,
     project_neg,
     project_pos,
-    rewrite_nf_oracle,
 )
 
-from oracles import iterated_nf_power
+from oracles import (
+    bfs_class_oracle,
+    generalized_shift,
+    iterated_nf_power,
+    mu,
+    rewrite_nf_oracle,
+)
 
 ACTIONS = ("a", "b", "~a", "~b")
 

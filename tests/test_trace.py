@@ -10,11 +10,12 @@ from quemon import (
     IndependenceAlphabet,
     PreconditionError,
     TraceWord,
-    bfs_trace_class,
     clique_projection,
     lex_normal_form,
     trace_equivalent,
 )
+
+from oracles import bfs_trace_class
 
 AB = IndependenceAlphabet(("a", "b"), [("a", "b")])
 AC = IndependenceAlphabet(("a", "b", "c"), [("a", "c")])
