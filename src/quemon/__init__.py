@@ -37,9 +37,7 @@ _EXPORTS = {
         "ProductWord",
         "binary_decode",
         "binary_encode",
-        "bipartite_embedding",
         "embed_to_two_free",
-        "eta_matching",
         "letter_images",
         "verify_embedding_bounded",
     ),

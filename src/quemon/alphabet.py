@@ -72,6 +72,9 @@ class IndependenceAlphabet:
         # letter at load time would cost O(|letters|^2)
         self._neighbors: dict[Letter, tuple[Letter, ...]] = {}
         self._dependent: dict[Letter, tuple[int, ...]] = {}
+        # the letter images of quemon.embed, or the NotEmbeddable verdict,
+        # built on the first embedding over this alphabet
+        self._embedding: object = None
 
     def _canonical(self, a: Letter, b: Letter) -> tuple[Letter, Letter]:
         if self._rank[a] <= self._rank[b]:
@@ -322,7 +325,8 @@ class BipartiteRecipe(NamedTuple):
 
 
 class TwoNontrivialComponents(NamedTuple):
-    """One edge from each of two distinct components that both have edges."""
+    """One edge from each of two distinct components that both have edges,
+    in component order; the least letter of degree >= 2 is an end of one."""
 
     edges: tuple[tuple[Letter, Letter], tuple[Letter, Letter]]
 
@@ -368,10 +372,16 @@ def decide_embeddable(g: IndependenceAlphabet) -> Classification:
 
     nontrivial = [c for c in connected_components(g) if len(c) > 1]
     if len(nontrivial) > 1:
-        # the first edge in rank order within a component joins its least
-        # letter to that letter's least partner
-        first, second = ((c[0], g.neighbors(c[0])[0]) for c in nontrivial[:2])
-        return NotEmbeddable(TwoNontrivialComponents((first, second)))
+        # the least letter x of degree >= 2 and its least partner, which
+        # lie on a P3 or a triangle, and the least edge of the first other
+        # component: its least letter and that letter's least partner
+        x = next(x for x in g.letters if g.degree(x) >= 2)
+        home = next(c for c in nontrivial if x in c)
+        other = nontrivial[1] if home is nontrivial[0] else nontrivial[0]
+        edges = ((x, g.neighbors(x)[0]), (other[0], g.neighbors(other[0])[0]))
+        if other is nontrivial[0]:
+            edges = edges[::-1]
+        return NotEmbeddable(TwoNontrivialComponents(edges))
 
     core = nontrivial[0]
     verdict = is_complete_bipartite(core, g)

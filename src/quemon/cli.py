@@ -230,13 +230,18 @@ def _cmd_mul(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _distinguishing_queue(u, v, max_len: int):
+def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_ALPHABET):
     """Shortest queue (by length, then letter order) on which u and v act differently.
 
+    The queue's letters are those of u and v plus the least letter of the
+    alphabet that neither uses: such a letter blocks every read, so it
+    separates a word that reads what it wrote (a~a) from the empty word.
     Candidates are generated one at a time, so memory stays bounded
     whatever max_len is; the time is up to |letters|^max_len actions.
     """
-    letters = sorted({action_letter(a) for a in u} | {action_letter(a) for a in v})
+    used = {action_letter(a) for a in u} | {action_letter(a) for a in v}
+    extra = min((x for x in alphabet if x not in used), default=None)
+    letters = sorted(used if extra is None else used | {extra})
     for n in range(max_len + 1):
         for q in itertools.product(letters, repeat=n):
             if action(q, u) != action(q, v):
@@ -251,7 +256,7 @@ def _cmd_eq(ns: argparse.Namespace) -> int:
     if equivalent(u, v):
         _emit(ns, {"equivalent": True}, "EQUIVALENT")
         return 0
-    queue = _distinguishing_queue(u, v, ns.max_len)
+    queue = _distinguishing_queue(u, v, ns.max_len, letters)
     if queue is None:
         payload = {"equivalent": False, "queue": None}
         text = f"DISTINGUISHED: no separating queue up to length {ns.max_len}"

@@ -1,18 +1,26 @@
 """Explicit embeddings of embeddable trace monoids into {a,b}* x {a,b}*.
 
-For matching alphabets (degree at most one) the letter with index i maps
-to (c_i, d_i) and its partner to (c_i, d_i d_i); counting d's between
-markers recovers the trace.  For the complete bipartite case the two
-clique projections of a trace word determine it, so the pair of
-projections is an embedding into a product of two free monoids.  Indexed
-letters are then encoded into a two-letter alphabet by x_i -> a^i b,
-which is uniquely decodable, giving a product of two free monoids over
-two-letter alphabets in both cases.
+An embedding is a homomorphism, fixed by its letter images, so they are
+built once per alphabet and cached on it.  For matching alphabets (degree
+at most one) the letter with index i maps to (c_i, d_i) and its partner to
+(c_i, d_i d_i); counting d's between markers recovers the trace.  For the
+complete bipartite case the two clique projections (onto part1 and onto
+part2, each with the isolated letters) determine a trace.  Indexed letters
+are encoded into {a, b} by x_i -> a^i b, with the matching index or the
+letter's rank as i, which is uniquely decodable.  Building the table takes
+one decision and an O(V + E) check of the recipe, plus the a^i b images;
+the image of a word is the concatenation of its letters' images,
+O(n + output).
+
+verify_embedding_bounded extends words one letter at a time and carries
+each word's dependence stacks (see quemon.trace) and image along.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .alphabet import (
     BipartiteRecipe,
@@ -22,8 +30,10 @@ from .alphabet import (
     decide_embeddable,
 )
 from .errors import NotEmbeddableError, ParseError, PreconditionError, RecipeMismatchError
-from .trace import TraceWord, clique_projection, dependence_stacks
 from .words import Letter, Word
+
+if TYPE_CHECKING:
+    from .trace import TraceWord
 
 
 class ProductWord(NamedTuple):
@@ -39,62 +49,76 @@ class ProductWord(NamedTuple):
 PRODUCT_IDENTITY = ProductWord((), ())
 
 
-def eta_matching(recipe: MatchingRecipe, u: TraceWord) -> ProductWord:
-    """Homomorphism for matching alphabets, into indexed letters c_i / d_i.
-
-    A letter with index i and role 'a' (or no partner) maps to (c_i, d_i);
-    its role-'b' partner maps to (c_i, d_i d_i).  The images of the two
-    letters of a pair commute, and counting d's between the c-markers
-    recovers the trace.
-    """
-    pairing = recipe.pairing
-    for x in u.alphabet.letters:
-        if x not in pairing:
-            raise RecipeMismatchError(f"recipe says nothing about letter {x!r}")
-    first: list[Letter] = []
-    second: list[Letter] = []
-    for x in u.word:
-        i, role = pairing[x]
-        first.append(f"c{i}")
-        second.append(f"d{i}")
-        if role == "b":
-            second.append(f"d{i}")
-    return ProductWord(tuple(first), tuple(second))
-
-
-def bipartite_embedding(recipe: BipartiteRecipe, u: TraceWord) -> ProductWord:
-    """Pair of clique projections for a complete bipartite core.
-
-    The first component keeps part1 plus all isolated letters, the second
-    part2 plus all isolated letters.  Letters within one kept set are
-    pairwise dependent, so each projection is invariant across u's class.
-    """
-    g = u.alphabet
-    _check_bipartite_recipe(recipe, g)
-    first = clique_projection(u, recipe.part1 + recipe.isolated)
-    second = clique_projection(u, recipe.part2 + recipe.isolated)
-    return ProductWord(first, second)
+def _code(i: int) -> Word:
+    """The letter with index i as a two-letter word, a^i b."""
+    return ("a",) * i + ("b",)
 
 
 def _check_bipartite_recipe(recipe: BipartiteRecipe, g: IndependenceAlphabet) -> None:
+    """Raise RecipeMismatchError unless the recipe's parts are exactly the
+    two sides of g's one nontrivial component, all else isolated.
+
+    O(V + E): a letter of part1 is independent of all of part2 exactly when
+    |part2| of its partners lie in part2; then every further pair lies
+    inside one group or touches an isolated letter, and one exists exactly
+    when g has more than |part1| * |part2| pairs.
+    """
     groups = (recipe.part1, recipe.part2, recipe.isolated)
-    listed = [x for grp in groups for x in grp]
-    if sorted(listed) != sorted(g.letters) or len(set(listed)) != len(listed):
+    group = {x: k for k, grp in enumerate(groups) for x in grp}
+    if len(group) != sum(map(len, groups)) or group.keys() != set(g.letters):
         raise RecipeMismatchError("recipe does not partition the alphabet")
     if not recipe.part1 or not recipe.part2:
         raise RecipeMismatchError("both parts must be nonempty")
     for a in recipe.part1:
-        for b in recipe.part2:
-            if not g.independent(a, b):
-                raise RecipeMismatchError(f"parts are not completely independent: ({a!r}, {b!r})")
-    for grp in groups:
-        for i, a in enumerate(grp):
-            for b in grp[i + 1:]:
-                if g.independent(a, b):
-                    raise RecipeMismatchError(f"independent pair inside one group: ({a!r}, {b!r})")
-    for a in recipe.isolated:
-        if g.degree(a) != 0:
+        if sum(group[y] == 1 for y in g.neighbors(a)) != len(recipe.part2):
+            b = next(b for b in recipe.part2 if not g.independent(a, b))
+            raise RecipeMismatchError(f"parts are not completely independent: ({a!r}, {b!r})")
+    if len(g.edges) == len(recipe.part1) * len(recipe.part2):
+        return
+    for a in g.letters:
+        for b in g.neighbors(a):
+            if group[a] == group[b]:
+                raise RecipeMismatchError(f"independent pair inside one group: ({a!r}, {b!r})")
+        if group[a] == 2 and g.degree(a):
             raise RecipeMismatchError(f"letter {a!r} listed as isolated but has a partner")
+
+
+def _build_images(g: IndependenceAlphabet) -> dict[Letter, ProductWord] | NotEmbeddable:
+    """Each letter's image, or the verdict when g is not embeddable.
+
+    A matching recipe sends the letter with index i to (a^i b, a^i b), or
+    to (a^i b, a^i b a^i b) in role 'b'.  A bipartite recipe sends the
+    letter of rank r to a^r b in the first component when it lies in part1,
+    in the second when it lies in part2, and in both when it is isolated.
+    """
+    verdict = decide_embeddable(g)
+    if isinstance(verdict, NotEmbeddable):
+        return verdict
+    recipe = verdict.recipe
+    images: dict[Letter, ProductWord] = {}
+    if isinstance(recipe, MatchingRecipe):
+        for x in g.letters:
+            i, role = recipe.pairing[x]
+            code = _code(i)
+            images[x] = ProductWord(code, code + code if role == "b" else code)
+        return images
+    _check_bipartite_recipe(recipe, g)
+    part1, part2 = set(recipe.part1), set(recipe.part2)
+    for x in g.letters:
+        code = _code(g.rank(x))
+        images[x] = ProductWord(() if x in part2 else code, () if x in part1 else code)
+    return images
+
+
+def _images(g: IndependenceAlphabet) -> dict[Letter, ProductWord]:
+    """The letter-image table of g, built once and cached on g; raises
+    NotEmbeddableError when g is not embeddable."""
+    images = g._embedding
+    if images is None:
+        images = g._embedding = _build_images(g)
+    if isinstance(images, NotEmbeddable):
+        raise NotEmbeddableError(images.reason)
+    return images  # type: ignore[return-value]
 
 
 def binary_encode(
@@ -150,28 +174,21 @@ def embed_to_two_free(g: IndependenceAlphabet, u: TraceWord) -> ProductWord:
 
     Both components are words over the two-letter alphabet {a, b}; the two
     free monoids are separate copies even though the letter names repeat.
+    The image is the concatenation of the letters' images, O(n + output).
     Raises NotEmbeddableError when the alphabet fails the classification.
     """
     if u.alphabet != g:
         raise RecipeMismatchError("word is over a different alphabet")
-    verdict = decide_embeddable(g)
-    if isinstance(verdict, NotEmbeddable):
-        raise NotEmbeddableError(verdict.reason)
-    recipe = verdict.recipe
-    if isinstance(recipe, MatchingRecipe):
-        pw = eta_matching(recipe, u)
-        return ProductWord(binary_encode(pw.first), binary_encode(pw.second))
-    pw = bipartite_embedding(recipe, u)
-    rank = {x: g.rank(x) for x in g.letters}
+    images = list(map(_images(g).__getitem__, u.word))
     return ProductWord(
-        binary_encode(pw.first, index=rank),
-        binary_encode(pw.second, index=rank),
+        tuple(chain.from_iterable(map(itemgetter(0), images))),
+        tuple(chain.from_iterable(map(itemgetter(1), images))),
     )
 
 
 def letter_images(g: IndependenceAlphabet) -> dict[Letter, ProductWord]:
     """Image of each single letter under embed_to_two_free."""
-    return {x: embed_to_two_free(g, TraceWord(g, (x,))) for x in g.letters}
+    return dict(_images(g))
 
 
 class EmbeddingReport(NamedTuple):
@@ -184,6 +201,36 @@ class EmbeddingReport(NamedTuple):
     detail: str
 
 
+def _words_with_keys(
+    g: IndependenceAlphabet, images: Mapping[Letter, ProductWord], n: int
+) -> Iterator[tuple[Word, tuple[int, ...], tuple[Word, Word]]]:
+    """Every word of length at most n, by length and then letter order,
+    with its class key and its image, each extended from its parent's.
+
+    The class key holds one int per dependence stack: a leading 1, then
+    one bit per entry, the newest lowest (1 where the stack's own letter
+    stands, 0 for a marker).  Appending x pushes onto the stacks of D(x),
+    the letters dependent on x.
+    """
+    steps = [
+        (x, g.rank(x), g.dependent_ranks(x), images[x].first, images[x].second)
+        for x in g.letters
+    ]
+    level = [((), (1,) * len(g.letters), ((), ()))]
+    for length in range(n + 1):
+        yield from level
+        if length < n:
+            nxt = []
+            for word, key, (first, second) in level:
+                for x, i, dep, x_first, x_second in steps:
+                    stacks = list(key)
+                    for j in dep:
+                        stacks[j] <<= 1
+                    stacks[i] |= 1
+                    nxt.append((word + (x,), tuple(stacks), (first + x_first, second + x_second)))
+            level = nxt
+
+
 def verify_embedding_bounded(
     g: IndependenceAlphabet,
     images: Mapping[Letter, ProductWord],
@@ -194,41 +241,29 @@ def verify_embedding_bounded(
     Enumerates every word of length at most n over the alphabet and tests
     that two words share an image exactly when they are trace equivalent,
     that is, have equal dependence stacks.  The first offending pair, in
-    enumeration order, is reported.
+    enumeration order, is reported.  Each word costs one push per letter
+    dependent on its last letter, plus its image.
     """
     for x in g.letters:
         if x not in images:
             raise RecipeMismatchError(f"no image for letter {x!r}")
-
-    by_image: dict[tuple[Word, Word], tuple[bytes, Word]] = {}
-    by_class: dict[bytes, tuple[Word, tuple[Word, Word]]] = {}
-    count = 0
-    level: list[tuple[Word, ProductWord]] = [((), PRODUCT_IDENTITY)]
-    for length in range(n + 1):
-        for word, img in level:
-            count += 1
-            key_img = (img.first, img.second)
-            key_class = dependence_stacks(TraceWord(g, word))
-            prior = by_image.get(key_img)
-            if prior is None:
-                by_image[key_img] = (key_class, word)
-            elif prior[0] != key_class:
-                return EmbeddingReport(
-                    False, count, len(by_class), (prior[1], word),
-                    "equal images but inequivalent words",
-                )
-            prior_class = by_class.get(key_class)
-            if prior_class is None:
-                by_class[key_class] = (word, key_img)
-            elif prior_class[1] != key_img:
-                return EmbeddingReport(
-                    False, count, len(by_class), (prior_class[0], word),
-                    "equivalent words with different images",
-                )
-        if length < n:
-            level = [
-                (word + (x,), img * images[x])
-                for word, img in level
-                for x in g.letters
-            ]
+    by_image: dict[tuple[Word, Word], tuple[tuple[int, ...], Word]] = {}
+    by_class: dict[tuple[int, ...], tuple[Word, tuple[Word, Word]]] = {}
+    for count, (word, key_class, key_img) in enumerate(_words_with_keys(g, images, n), 1):
+        prior = by_image.get(key_img)
+        if prior is None:
+            by_image[key_img] = (key_class, word)
+        elif prior[0] != key_class:
+            return EmbeddingReport(
+                False, count, len(by_class), (prior[1], word),
+                "equal images but inequivalent words",
+            )
+        prior_class = by_class.get(key_class)
+        if prior_class is None:
+            by_class[key_class] = (word, key_img)
+        elif prior_class[1] != key_img:
+            return EmbeddingReport(
+                False, count, len(by_class), (prior_class[0], word),
+                "equivalent words with different images",
+            )
     return EmbeddingReport(True, count, len(by_class), None, "")

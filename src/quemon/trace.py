@@ -90,13 +90,6 @@ def _stacks(u: TraceWord) -> list[list[bool]]:
     return stacks
 
 
-def dependence_stacks(u: TraceWord) -> bytes:
-    """The dependence stacks as one byte string (1 for a letter, 0 for a
-    marker, 2 between stacks): equal for two words over one alphabet
-    exactly when the words are trace equivalent."""
-    return b"\x02".join(map(bytes, _stacks(u)))
-
-
 def lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> TraceWord:
     """Least representative of u's class in the length-lexicographic order.
 

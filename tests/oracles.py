@@ -7,13 +7,15 @@ length, the normal form as a fold of the
 product over single actions, the power as an n-fold product, the action by
 slicing the queue, the conjugacy split by trying every rotation, the trace
 normal form by greedy rescans, trace equivalence by projections onto
-every dependent pair, and the separating-queue search of `quemon eq` with
-every level of candidates held in a list.  They share no code with the kernels they check: the
-product here is rebuilt on the scanning overlap, and the trace oracles ask
-the alphabet only which pairs are independent.  The brute-force oracles
-come last: the normal form by exhaustive rewriting, and whole equivalence
-classes by breadth-first closure under the rewrite rules or under swaps of
-independent letters.  Next to them, stated through the library's normal
+every dependent pair, the dependence stacks by one projection per letter,
+the separating-queue search of `quemon eq` with every level of candidates
+held in a list, and the two embeddings built word by word, the bipartite
+one behind a recipe check that tries every pair.  They share no code with
+the kernels they check: the product here is rebuilt on the scanning
+overlap, and the trace oracles ask the alphabet only which pairs are
+independent.  The brute-force oracles come last: the normal form by
+exhaustive rewriting, and whole equivalence classes by breadth-first
+closure under the rewrite rules or under swaps of independent letters.  Next to them, stated through the library's normal
 form, are mu (the center alone) and the block-shift identities.
 """
 
@@ -21,10 +23,14 @@ import itertools
 
 from quemon import (
     BOTTOM,
+    DEFAULT_ALPHABET,
     NF_IDENTITY,
     CapExceededError,
     PreconditionError,
+    ProductWord,
     QueueNormalForm,
+    RecipeMismatchError,
+    clique_projection,
     equivalent,
     normal_form,
     read_actions,
@@ -97,10 +103,16 @@ def scan_conjugacy_split(p, q):
     return None
 
 
-def list_distinguishing_queue(u, v, max_len):
+def list_distinguishing_queue(u, v, max_len, alphabet=DEFAULT_ALPHABET):
     """Shortest queue (by length, then letter order) on which u and v act
-    differently, or None up to max_len, building each level as a list."""
-    letters = sorted({a.lstrip("~") for a in u} | {a.lstrip("~") for a in v})
+    differently, or None up to max_len, building each level as a list.
+
+    The queue's letters are those of u and v plus the least letter of the
+    alphabet that neither uses.
+    """
+    letters = {a.lstrip("~") for a in u} | {a.lstrip("~") for a in v}
+    extra = min((x for x in alphabet if x not in letters), default=None)
+    letters = sorted(letters if extra is None else letters | {extra})
     level = [()]
     for _ in range(max_len + 1):
         for q in level:
@@ -108,6 +120,73 @@ def list_distinguishing_queue(u, v, max_len):
                 return q
         level = [q + (a,) for q in level for a in letters]
     return None
+
+
+def dependence_stacks(u):
+    """The dependence stacks of u as one byte string, by projection: for
+    each letter y in rank order, the word projected onto the letters
+    dependent on y, written 1 where y stands and 0 for any other letter,
+    with 2 between stacks.  Equal for two words over one alphabet exactly
+    when the words are trace equivalent."""
+    g = u.alphabet
+    return b"\x02".join(
+        bytes([x == y for x in u.word if x == y or not g.independent(x, y)])
+        for y in g.letters
+    )
+
+
+def eta_matching(recipe, u):
+    """Embedding of a matching alphabet into indexed letters c_i / d_i.
+
+    A letter with index i and role 'a' (or no partner) maps to (c_i, d_i);
+    its role-'b' partner maps to (c_i, d_i d_i).
+    """
+    pairing = recipe.pairing
+    for x in u.alphabet.letters:
+        if x not in pairing:
+            raise RecipeMismatchError(f"recipe says nothing about letter {x!r}")
+    first, second = [], []
+    for x in u.word:
+        i, role = pairing[x]
+        first.append(f"c{i}")
+        second.append(f"d{i}")
+        if role == "b":
+            second.append(f"d{i}")
+    return ProductWord(tuple(first), tuple(second))
+
+
+def bipartite_embedding(recipe, u):
+    """Pair of clique projections for a complete bipartite core: part1
+    plus the isolated letters, and part2 plus the isolated letters, after
+    checking the recipe pair by pair."""
+    check_bipartite_recipe(recipe, u.alphabet)
+    first = clique_projection(u, recipe.part1 + recipe.isolated)
+    second = clique_projection(u, recipe.part2 + recipe.isolated)
+    return ProductWord(first, second)
+
+
+def check_bipartite_recipe(recipe, g):
+    """Raise RecipeMismatchError unless the recipe partitions g into two
+    completely independent parts and isolated letters, trying every pair
+    across the parts and inside each group."""
+    groups = (recipe.part1, recipe.part2, recipe.isolated)
+    listed = [x for grp in groups for x in grp]
+    if sorted(listed) != sorted(g.letters) or len(set(listed)) != len(listed):
+        raise RecipeMismatchError("recipe does not partition the alphabet")
+    if not recipe.part1 or not recipe.part2:
+        raise RecipeMismatchError("both parts must be nonempty")
+    for a in recipe.part1:
+        for b in recipe.part2:
+            if not g.independent(a, b):
+                raise RecipeMismatchError(f"parts are not completely independent: ({a!r}, {b!r})")
+    for grp in groups:
+        for i, a in enumerate(grp):
+            for b in grp[i + 1:]:
+                if g.independent(a, b):
+                    raise RecipeMismatchError(f"independent pair inside one group: ({a!r}, {b!r})")
+    for a in recipe.isolated:
+        if g.degree(a) != 0:
+            raise RecipeMismatchError(f"letter {a!r} listed as isolated but has a partner")
 
 
 def greedy_lex_normal_form(g, word, order=None):

@@ -19,7 +19,6 @@ from quemon import (
     QueueNormalForm,
     TraceWord,
     TwoNontrivialComponents,
-    bipartite_embedding,
     conjugacy_profile,
     conjugated_witness,
     decide_embeddable,
@@ -47,7 +46,7 @@ from batteries import (
     P2P3_BATTERY,
     P4_BATTERY,
 )
-from oracles import bfs_class_oracle, generalized_shift, rewrite_nf_oracle
+from oracles import bfs_class_oracle, bipartite_embedding, generalized_shift, rewrite_nf_oracle
 
 ACTIONS = ("a", "b", "~a", "~b")
 AB = ("a", "b")

@@ -263,6 +263,58 @@ def test_two_nontrivial_components_rejected_before_bipartiteness():
     assert reason.edges == (("a", "b"), ("d", "e"))
 
 
+def test_two_components_report_the_component_with_a_letter_of_degree_2():
+    # a-b and c-d alone form a matching, which embeds; e has degree 2
+    g = IndependenceAlphabet("abcdefg", [("a", "b"), ("c", "d"), ("e", "f"), ("e", "g")])
+    verdict = decide_embeddable(g)
+    assert verdict == NotEmbeddable(TwoNontrivialComponents((("a", "b"), ("e", "f"))))
+
+
+def _check_two_components(g):
+    reason = getattr(decide_embeddable(g), "reason", None)
+    if not isinstance(reason, TwoNontrivialComponents):
+        return False
+    (a, b), (c, d) = reason.edges
+    assert g.independent(a, b) and g.independent(c, d)
+    comps = [comp for comp in connected_components(g) if a in comp or c in comp]
+    assert len(comps) == 2 and a in comps[0] and c in comps[1], (g, reason)
+    kept = set(comps[0] + comps[1])
+    sub = IndependenceAlphabet([x for x in g.letters if x in kept], [e for e in g.edges if e[0] in kept])
+    assert isinstance(decide_embeddable(sub), NotEmbeddable), (g, reason)
+    return True
+
+
+def test_two_reported_components_induce_a_non_embeddable_alphabet_up_to_6():
+    names = "abcdef"
+    seen = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(names[:n], 2))
+        for mask in range(1 << len(pairs)):
+            seen += _check_two_components(
+                IndependenceAlphabet(names[:n], [p for k, p in enumerate(pairs) if mask >> k & 1])
+            )
+    assert seen == 1010
+
+
+# connected shapes as (letters, pairs)
+_SHAPES = {"k1": (1, []), "edge": (2, [(0, 1)]), "p3": (3, [(0, 1), (0, 2)]), "k3": (3, [(0, 1), (1, 2), (0, 2)])}
+
+
+@given(st.lists(st.sampled_from(sorted(_SHAPES)), min_size=2, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_two_reported_components_induce_a_non_embeddable_alphabet_on_unions(shapes, rng):
+    # two single edges ahead of a component with a letter of degree 2 need
+    # seven letters, so the exhaustive range above cannot reach them
+    letters, edges = [], []
+    for shape in shapes:
+        size, pairs = _SHAPES[shape]
+        names = [f"x{len(letters) + i}" for i in range(size)]
+        letters += names
+        edges += [(names[i], names[j]) for i, j in pairs]
+    rng.shuffle(letters)
+    _check_two_components(IndependenceAlphabet(letters, edges))
+
+
 def test_empty_and_free_alphabets_embed():
     assert isinstance(decide_embeddable(IndependenceAlphabet((), [])), Embeddable)
     free = IndependenceAlphabet(("a", "b", "c"), [])

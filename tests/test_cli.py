@@ -93,6 +93,19 @@ def test_eq_search_bound(capsys):
     assert out == "DISTINGUISHED queue='a' lhs=a rhs=aa\n"
 
 
+def test_eq_separates_a_unary_pair_with_an_unused_letter(capsys, tmp_path):
+    # a~a reads back what it wrote, so only a letter it does not use tells
+    # it from the empty word
+    assert run(capsys, "eq", "--max-len", "20", "a~a", "") == (
+        0, "DISTINGUISHED queue='b' lhs=BOTTOM rhs=b\n", "")
+    path = alphabet_file(tmp_path, "za.json", ["z", "a"], [])
+    assert run(capsys, "eq", "--alphabet", path, "a~a", "") == (
+        0, "DISTINGUISHED queue='z' lhs=BOTTOM rhs=z\n", "")
+    path = alphabet_file(tmp_path, "a.json", ["a"], [])
+    assert run(capsys, "eq", "--alphabet", path, "--max-len", "3", "a~a", "") == (
+        0, "DISTINGUISHED: no separating queue up to length 3\n", "")
+
+
 def test_distinguishing_queue_matches_list_search_up_to_4_actions():
     words = [w for k in range(5) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
     for u, v in itertools.combinations_with_replacement(words, 2):  # the search is symmetric
@@ -101,8 +114,9 @@ def test_distinguishing_queue_matches_list_search_up_to_4_actions():
 
 
 def test_distinguishing_queue_memory_stays_bounded():
-    # no queue of length <= 5 separates these, so the search sees all 9,331
-    # candidates; holding a level of them as a list took megabytes
+    # no queue of length <= 5 separates these, so the search sees all 19,608
+    # candidates over a-f and the unused g; holding a level of them as a
+    # list took megabytes
     u = parse_queue_word("~a~b~c~d~e~f")
     v = parse_queue_word("~a~b~c~d~e~a")
     tracemalloc.start()
@@ -174,6 +188,11 @@ def test_decide_two_components(capsys, tmp_path):
                          [["a", "b"], ["b", "c"], ["a", "c"], ["d", "e"]])
     code, out, _ = run(capsys, "decide", path)
     assert (code, out) == (0, "NOT EMBEDDABLE: two nontrivial components a-b, d-e\n")
+    # a-b and c-d alone would embed: the P3 around e is reported instead
+    path = alphabet_file(tmp_path, "two2.json", ["a", "b", "c", "d", "e", "f", "g"],
+                         [["a", "b"], ["c", "d"], ["e", "f"], ["e", "g"]])
+    code, out, _ = run(capsys, "decide", path)
+    assert (code, out) == (0, "NOT EMBEDDABLE: two nontrivial components a-b, e-f\n")
 
 
 def test_traceeq(capsys, p3):

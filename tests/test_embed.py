@@ -1,4 +1,11 @@
-"""Embeddings into a product of two free monoids, and their bounded verification."""
+"""Embeddings into a product of two free monoids, and their bounded verification.
+
+The letter-image table, its recipe check and the class keys of the bounded
+verification are checked exhaustively on every embeddable alphabet of at
+most five letters against the oracles: the embeddings built word by word,
+the recipe check that tries every pair, and the dependence stacks built by
+projection.
+"""
 
 import itertools
 
@@ -7,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from quemon import (
     PRODUCT_IDENTITY,
+    BipartiteRecipe,
+    Embeddable,
     IndependenceAlphabet,
     MatchingRecipe,
     NotCompleteBipartite,
@@ -18,14 +27,15 @@ from quemon import (
     TraceWord,
     binary_decode,
     binary_encode,
-    bipartite_embedding,
     decide_embeddable,
     embed_to_two_free,
-    eta_matching,
     letter_images,
     trace_equivalent,
     verify_embedding_bounded,
 )
+from quemon.embed import _check_bipartite_recipe, _words_with_keys
+
+from oracles import bipartite_embedding, check_bipartite_recipe, dependence_stacks, eta_matching
 
 PAIR = IndependenceAlphabet(("a", "b"), [("a", "b")])
 MATCHING = IndependenceAlphabet(
@@ -224,3 +234,90 @@ def test_verify_embedding_bounded_detects_broken_invariance():
 def test_verify_embedding_bounded_requires_all_images():
     with pytest.raises(RecipeMismatchError, match="b"):
         verify_embedding_bounded(PAIR, {"a": PRODUCT_IDENTITY}, 1)
+
+
+# -- the letter-image table and the class keys against the oracles ----------------
+
+def all_graphs(max_letters):
+    for n in range(max_letters + 1):
+        letters = "abcde"[:n]
+        pairs = list(itertools.combinations(letters, 2))
+        for mask in range(1 << len(pairs)):
+            yield IndependenceAlphabet(letters, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+EMBEDDABLE = [
+    (g, verdict.recipe)
+    for g in all_graphs(5)
+    for verdict in [decide_embeddable(g)]
+    if isinstance(verdict, Embeddable)
+]
+
+
+def test_table_equals_the_encoded_oracle_images_up_to_5_letters():
+    assert len(EMBEDDABLE) == 146
+    for g, recipe in EMBEDDABLE:
+        want = {}
+        for x in g.letters:
+            u = TraceWord(g, (x,))
+            if isinstance(recipe, MatchingRecipe):
+                pw = eta_matching(recipe, u)
+                want[x] = ProductWord(binary_encode(pw.first), binary_encode(pw.second))
+            else:
+                pw = bipartite_embedding(recipe, u)
+                rank = {y: g.rank(y) for y in g.letters}
+                want[x] = ProductWord(binary_encode(pw.first, index=rank), binary_encode(pw.second, index=rank))
+        assert letter_images(g) == want, g
+
+
+def _accepts(check, recipe, g):
+    try:
+        check(recipe, g)
+    except RecipeMismatchError:
+        return False
+    return True
+
+
+def _mutations(recipe):
+    """The recipe with one letter dropped, moved to another group, or
+    listed a second time in any group."""
+    for k, grp in enumerate(recipe):
+        for x in grp:
+            dropped = list(recipe)
+            dropped[k] = tuple(y for y in grp if y != x)
+            yield BipartiteRecipe(*dropped)
+            for m in range(3):
+                for base in (recipe, dropped) if m != k else (recipe,):
+                    changed = list(base)
+                    changed[m] = base[m] + (x,)
+                    yield BipartiteRecipe(*changed)
+
+
+def test_recipe_check_accepts_exactly_what_the_pairwise_oracle_accepts():
+    checked = 0
+    for g, recipe in EMBEDDABLE:
+        if isinstance(recipe, MatchingRecipe):
+            continue
+        swapped = BipartiteRecipe(recipe.part2, recipe.part1, recipe.isolated)
+        assert _accepts(_check_bipartite_recipe, recipe, g) and _accepts(_check_bipartite_recipe, swapped, g)
+        for r in _mutations(recipe):
+            assert _accepts(_check_bipartite_recipe, r, g) == _accepts(check_bipartite_recipe, r, g), (g, r)
+            checked += 1
+    # every split of the letters into three groups, on every graph of <= 4 letters
+    for g in all_graphs(4):
+        for split in itertools.product(range(3), repeat=len(g.letters)):
+            r = BipartiteRecipe(*(tuple(x for x, k in zip(g.letters, split) if k == m) for m in range(3)))
+            assert _accepts(_check_bipartite_recipe, r, g) == _accepts(check_bipartite_recipe, r, g), (g, r)
+            checked += 1
+    assert checked == 8_332
+
+
+def test_class_keys_split_words_up_to_5_as_the_dependence_stacks():
+    for g, _ in EMBEDDABLE:
+        images = letter_images(g)
+        seen = list(_words_with_keys(g, images, 5))
+        assert [w for w, _, _ in seen] == list(words_up_to(g.letters, 5))
+        pairs = {(key, dependence_stacks(TraceWord(g, w))) for w, key, _ in seen}
+        assert len(pairs) == len({key for key, _ in pairs}) == len({s for _, s in pairs}), g
+        for w, _, img in seen[: 1 + len(g.letters) + len(g.letters) ** 2]:
+            assert ProductWord(*img) == embed_to_two_free(g, TraceWord(g, w))

@@ -9,7 +9,8 @@ greedy normal form, the pairwise-projection test and bfs_trace_class:
 exhaustively on small independence graphs, with hypothesis on random
 graphs of 8 to 28 letters.  The last tests keep every kernel linear: at
 64,000 actions or letters, or 16,000-letter alphabets, a quadratic version
-takes minutes.
+takes minutes; and an embedding over a 4,000-letter alphabet is built once,
+in time linear in the alphabet and its letter images.
 """
 
 import itertools
@@ -28,13 +29,16 @@ from quemon import (
     NotCompleteBipartite,
     NotEmbeddable,
     OddCycle,
+    ProductWord,
     QueueNormalForm,
     TraceWord,
     action,
     conjugacy_decomposition,
     decide_embeddable,
+    embed_to_two_free,
     equivalent,
     is_primitive,
+    letter_images,
     lex_normal_form,
     nf_power,
     normal_form,
@@ -42,11 +46,11 @@ from quemon import (
     primitive_root,
     trace_equivalent,
 )
-from quemon.trace import dependence_stacks
 from quemon.words import match_step
 
 from oracles import (
     bfs_trace_class,
+    dependence_stacks,
     fold_normal_form,
     greedy_lex_normal_form,
     iterated_nf_power,
@@ -417,3 +421,18 @@ def test_decide_embeddable_stays_linear_at_16000_letters():
     verdict = _timed(decide_embeddable, IndependenceAlphabet(letters[:k], edges))
     assert isinstance(verdict, Embeddable)
     assert verdict.recipe.part1 == tuple(core) and len(verdict.recipe.isolated) == k - 2 - k // 2
+
+
+def test_embedding_is_built_once_per_alphabet_at_4000_letters():
+    # a P3 among isolated letters; checking the bipartite recipe pair by
+    # pair inside the isolated group, on every call and for every letter,
+    # took 1.2 s for one embedding here and tens of minutes for the table
+    letters = [f"l{i}" for i in range(4_000)]
+    edges = [("l0", "l1"), ("l0", "l2")]
+    g = IndependenceAlphabet(letters, edges)
+    last = ("a",) * 3_999 + ("b",)
+    assert _timed(embed_to_two_free, g, TraceWord(g, ("l3999",))) == ProductWord(last, last)
+    del g
+    images = _timed(letter_images, IndependenceAlphabet(letters, edges))
+    assert len(images) == 4_000 and images["l3999"] == ProductWord(last, last)
+    assert images["l0"] == ProductWord(("b",), ()) and images["l2"] == ProductWord((), ("a", "a", "b"))

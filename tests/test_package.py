@@ -104,7 +104,8 @@ def test_star_import_dir_and_unknown_names():
     with pytest.raises(AttributeError):
         quemon.no_such_name
     for oracle in ("mu", "rewrite_nf_oracle", "bfs_class_oracle",
-                   "generalized_shift", "bfs_trace_class"):
+                   "generalized_shift", "bfs_trace_class", "eta_matching",
+                   "bipartite_embedding", "dependence_stacks"):
         assert not hasattr(quemon, oracle), oracle
 
 
