@@ -32,11 +32,9 @@ _EXPORTS = {
         "is_p4_free",
     ),
     "embed": (
-        "PRODUCT_IDENTITY",
         "EmbeddingReport",
         "ProductWord",
         "binary_decode",
-        "binary_encode",
         "embed_to_two_free",
         "letter_images",
         "verify_embedding_bounded",

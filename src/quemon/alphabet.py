@@ -72,8 +72,9 @@ class IndependenceAlphabet:
         # letter at load time would cost O(|letters|^2)
         self._neighbors: dict[Letter, tuple[Letter, ...]] = {}
         self._dependent: dict[Letter, tuple[int, ...]] = {}
-        # the letter images of quemon.embed, or the NotEmbeddable verdict,
-        # built on the first embedding over this alphabet
+        # each letter's index and components in quemon.embed, with the
+        # images built so far, or the NotEmbeddable verdict; set on the
+        # first embedding over this alphabet
         self._embedding: object = None
 
     def _canonical(self, a: Letter, b: Letter) -> tuple[Letter, Letter]:

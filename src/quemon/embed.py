@@ -1,16 +1,17 @@
 """Explicit embeddings of embeddable trace monoids into {a,b}* x {a,b}*.
 
-An embedding is a homomorphism, fixed by its letter images, so they are
-built once per alphabet and cached on it.  For matching alphabets (degree
-at most one) the letter with index i maps to (c_i, d_i) and its partner to
-(c_i, d_i d_i); counting d's between markers recovers the trace.  For the
-complete bipartite case the two clique projections (onto part1 and onto
-part2, each with the isolated letters) determine a trace.  Indexed letters
-are encoded into {a, b} by x_i -> a^i b, with the matching index or the
-letter's rank as i, which is uniquely decodable.  Building the table takes
-one decision and an O(V + E) check of the recipe, plus the a^i b images;
-the image of a word is the concatenation of its letters' images,
-O(n + output).
+An embedding is a homomorphism, fixed by its letter images.  For matching
+alphabets (degree at most one) the letter with index i maps to (c_i, d_i)
+and its partner to (c_i, d_i d_i); counting d's between markers recovers
+the trace.  For the complete bipartite case the two clique projections
+(onto part1 and onto part2, each with the isolated letters) determine a
+trace.  Indexed letters are encoded into {a, b} by x_i -> a^i b, with the
+matching index or the letter's rank as i, which is uniquely decodable.
+
+The first embedding over an alphabet decides it once and caches, on the
+alphabet, each letter's index and components, in O(V + E); a letter's
+image is built on its first use.  The image of a word is the concatenation
+of its letters' images, O(n + output).
 
 verify_embedding_bounded extends words one letter at a time and carries
 each word's dependence stacks (see quemon.trace) and image along.
@@ -23,13 +24,12 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .alphabet import (
-    BipartiteRecipe,
     IndependenceAlphabet,
     MatchingRecipe,
     NotEmbeddable,
     decide_embeddable,
 )
-from .errors import NotEmbeddableError, ParseError, PreconditionError, RecipeMismatchError
+from .errors import NotEmbeddableError, ParseError, RecipeMismatchError
 from .words import Letter, Word
 
 if TYPE_CHECKING:
@@ -42,113 +42,56 @@ class ProductWord(NamedTuple):
     first: Word
     second: Word
 
-    def __mul__(self, other: "ProductWord") -> "ProductWord":
-        return ProductWord(self.first + other.first, self.second + other.second)
+
+class _LetterImages(dict):
+    """Letter -> ProductWord, each image built on first use from the
+    letter's (index i, copies of a^i b in the first component, copies in
+    the second)."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: dict[Letter, tuple[int, int, int]]) -> None:
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, x: Letter) -> ProductWord:
+        i, first, second = self.spec[x]
+        code = ("a",) * i + ("b",)
+        image = self[x] = ProductWord(code * first, code * second)
+        return image
 
 
-PRODUCT_IDENTITY = ProductWord((), ())
-
-
-def _code(i: int) -> Word:
-    """The letter with index i as a two-letter word, a^i b."""
-    return ("a",) * i + ("b",)
-
-
-def _check_bipartite_recipe(recipe: BipartiteRecipe, g: IndependenceAlphabet) -> None:
-    """Raise RecipeMismatchError unless the recipe's parts are exactly the
-    two sides of g's one nontrivial component, all else isolated.
-
-    O(V + E): a letter of part1 is independent of all of part2 exactly when
-    |part2| of its partners lie in part2; then every further pair lies
-    inside one group or touches an isolated letter, and one exists exactly
-    when g has more than |part1| * |part2| pairs.
-    """
-    groups = (recipe.part1, recipe.part2, recipe.isolated)
-    group = {x: k for k, grp in enumerate(groups) for x in grp}
-    if len(group) != sum(map(len, groups)) or group.keys() != set(g.letters):
-        raise RecipeMismatchError("recipe does not partition the alphabet")
-    if not recipe.part1 or not recipe.part2:
-        raise RecipeMismatchError("both parts must be nonempty")
-    for a in recipe.part1:
-        if sum(group[y] == 1 for y in g.neighbors(a)) != len(recipe.part2):
-            b = next(b for b in recipe.part2 if not g.independent(a, b))
-            raise RecipeMismatchError(f"parts are not completely independent: ({a!r}, {b!r})")
-    if len(g.edges) == len(recipe.part1) * len(recipe.part2):
-        return
-    for a in g.letters:
-        for b in g.neighbors(a):
-            if group[a] == group[b]:
-                raise RecipeMismatchError(f"independent pair inside one group: ({a!r}, {b!r})")
-        if group[a] == 2 and g.degree(a):
-            raise RecipeMismatchError(f"letter {a!r} listed as isolated but has a partner")
-
-
-def _build_images(g: IndependenceAlphabet) -> dict[Letter, ProductWord] | NotEmbeddable:
-    """Each letter's image, or the verdict when g is not embeddable.
+def _build_images(g: IndependenceAlphabet) -> _LetterImages | NotEmbeddable:
+    """The letter images of g, or the verdict when g is not embeddable.
 
     A matching recipe sends the letter with index i to (a^i b, a^i b), or
     to (a^i b, a^i b a^i b) in role 'b'.  A bipartite recipe sends the
     letter of rank r to a^r b in the first component when it lies in part1,
     in the second when it lies in part2, and in both when it is isolated.
+    O(V + E); no image is built here.
     """
     verdict = decide_embeddable(g)
     if isinstance(verdict, NotEmbeddable):
         return verdict
     recipe = verdict.recipe
-    images: dict[Letter, ProductWord] = {}
     if isinstance(recipe, MatchingRecipe):
-        for x in g.letters:
-            i, role = recipe.pairing[x]
-            code = _code(i)
-            images[x] = ProductWord(code, code + code if role == "b" else code)
-        return images
-    _check_bipartite_recipe(recipe, g)
-    part1, part2 = set(recipe.part1), set(recipe.part2)
-    for x in g.letters:
-        code = _code(g.rank(x))
-        images[x] = ProductWord(() if x in part2 else code, () if x in part1 else code)
-    return images
+        spec = {x: (i, 1, 2 if role == "b" else 1) for x, (i, role) in recipe.pairing.items()}
+    else:
+        spec = {x: (g.rank(x), 1, 1) for x in recipe.isolated}
+        spec.update((x, (g.rank(x), 1, 0)) for x in recipe.part1)
+        spec.update((x, (g.rank(x), 0, 1)) for x in recipe.part2)
+    return _LetterImages(spec)
 
 
-def _images(g: IndependenceAlphabet) -> dict[Letter, ProductWord]:
-    """The letter-image table of g, built once and cached on g; raises
-    NotEmbeddableError when g is not embeddable."""
+def _images(g: IndependenceAlphabet) -> _LetterImages:
+    """The letter images of g, cached on g; raises NotEmbeddableError when
+    g is not embeddable."""
     images = g._embedding
     if images is None:
         images = g._embedding = _build_images(g)
     if isinstance(images, NotEmbeddable):
         raise NotEmbeddableError(images.reason)
     return images  # type: ignore[return-value]
-
-
-def binary_encode(
-    w: Word,
-    letters: tuple[Letter, Letter] = ("a", "b"),
-    index: Mapping[Letter, int] | None = None,
-) -> Word:
-    """Encode indexed letters into a two-letter alphabet via x_i -> a^i b.
-
-    Indices are taken from the mapping when given, otherwise from trailing
-    decimal digits of each letter name.
-    """
-    zero, one = letters
-    out: list[Letter] = []
-    for x in w:
-        if index is not None:
-            if x not in index:
-                raise PreconditionError(f"no index known for letter {x!r}")
-            i = index[x]
-        else:
-            digits = ""
-            while x and x[-1].isdigit():
-                digits = x[-1] + digits
-                x = x[:-1]
-            if not digits:
-                raise PreconditionError(f"letter {x!r} carries no index")
-            i = int(digits)
-        out.extend([zero] * i)
-        out.append(one)
-    return tuple(out)
 
 
 def binary_decode(w: Word, letters: tuple[Letter, Letter] = ("a", "b")) -> tuple[int, ...]:
@@ -188,7 +131,8 @@ def embed_to_two_free(g: IndependenceAlphabet, u: TraceWord) -> ProductWord:
 
 def letter_images(g: IndependenceAlphabet) -> dict[Letter, ProductWord]:
     """Image of each single letter under embed_to_two_free."""
-    return dict(_images(g))
+    images = _images(g)
+    return {x: images[x] for x in g.letters}
 
 
 class EmbeddingReport(NamedTuple):
@@ -249,6 +193,7 @@ def verify_embedding_bounded(
             raise RecipeMismatchError(f"no image for letter {x!r}")
     by_image: dict[tuple[Word, Word], tuple[tuple[int, ...], Word]] = {}
     by_class: dict[tuple[int, ...], tuple[Word, tuple[Word, Word]]] = {}
+    count = 0
     for count, (word, key_class, key_img) in enumerate(_words_with_keys(g, images, n), 1):
         prior = by_image.get(key_img)
         if prior is None:

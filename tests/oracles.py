@@ -10,7 +10,8 @@ normal form by greedy rescans, trace equivalence by projections onto
 every dependent pair, the dependence stacks by one projection per letter,
 the separating-queue search of `quemon eq` with every level of candidates
 held in a list, and the two embeddings built word by word, the bipartite
-one behind a recipe check that tries every pair.  They share no code with
+one behind a recipe check that tries every pair, with the encoding of
+their indexed letters into {a, b}.  They share no code with
 the kernels they check: the product here is rebuilt on the scanning
 overlap, and the trace oracles ask the alphabet only which pairs are
 independent.  The brute-force oracles come last: the normal form by
@@ -133,6 +134,32 @@ def dependence_stacks(u):
         bytes([x == y for x in u.word if x == y or not g.independent(x, y)])
         for y in g.letters
     )
+
+
+def binary_encode(w, letters=("a", "b"), index=None):
+    """Encode indexed letters into a two-letter alphabet via x_i -> a^i b.
+
+    Indices are taken from the mapping when given, otherwise from trailing
+    decimal digits of each letter name.
+    """
+    zero, one = letters
+    out = []
+    for x in w:
+        if index is not None:
+            if x not in index:
+                raise PreconditionError(f"no index known for letter {x!r}")
+            i = index[x]
+        else:
+            digits = ""
+            while x and x[-1].isdigit():
+                digits = x[-1] + digits
+                x = x[:-1]
+            if not digits:
+                raise PreconditionError(f"letter {x!r} carries no index")
+            i = int(digits)
+        out.extend([zero] * i)
+        out.append(one)
+    return tuple(out)
 
 
 def eta_matching(recipe, u):

@@ -46,11 +46,12 @@ from quemon import (
     primitive_root,
     trace_equivalent,
 )
+from quemon.embed import _words_with_keys
+from quemon.trace import _stacks
 from quemon.words import match_step
 
 from oracles import (
     bfs_trace_class,
-    dependence_stacks,
     fold_normal_form,
     greedy_lex_normal_form,
     iterated_nf_power,
@@ -199,12 +200,19 @@ def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
 
 
 def test_dependence_stacks_separate_exactly_the_classes_up_to_6():
+    # the class keys that verify_embedding_bounded extends letter by letter,
+    # and the stacks that trace_equivalent compares, on embeddable and
+    # non-embeddable graphs alike
     for g in _small_graphs():
+        images = {x: ProductWord((), ()) for x in g.letters}
         class_of = {}
-        for w in words_up_to(6, g.letters):
-            key = dependence_stacks(TraceWord(g, w))
-            assert class_of.setdefault(key, greedy_lex_normal_form(g, w)) == greedy_lex_normal_form(g, w), (g, w)
-        assert len(set(class_of.values())) == len(class_of), g
+        stacks_of = {}
+        for w, key, _ in _words_with_keys(g, images, 6):
+            nf = greedy_lex_normal_form(g, w)
+            assert class_of.setdefault(key, nf) == nf, (g, w)
+            stacks = tuple(map(tuple, _stacks(TraceWord(g, w))))
+            assert stacks_of.setdefault(stacks, nf) == nf, (g, w)
+        assert len(set(class_of.values())) == len(class_of) == len(stacks_of), g
 
 
 def test_trace_equivalent_matches_projections_and_bfs_up_to_4():
@@ -307,7 +315,7 @@ def test_trace_equivalent_matches_projections_on_random_graphs(gw):
     for v in others:
         want = projection_equivalent(g, w, v)
         assert trace_equivalent(TraceWord(g, w), TraceWord(g, v)) == want
-        assert (dependence_stacks(TraceWord(g, w)) == dependence_stacks(TraceWord(g, v))) == want
+        assert (_stacks(TraceWord(g, w)) == _stacks(TraceWord(g, v))) == want
     assert trace_equivalent(TraceWord(g, w), TraceWord(g, others[0]))
     if i is not None:
         assert not trace_equivalent(TraceWord(g, w), TraceWord(g, others[-1]))
@@ -424,15 +432,24 @@ def test_decide_embeddable_stays_linear_at_16000_letters():
 
 
 def test_embedding_is_built_once_per_alphabet_at_4000_letters():
-    # a P3 among isolated letters; checking the bipartite recipe pair by
-    # pair inside the isolated group, on every call and for every letter,
-    # took 1.2 s for one embedding here and tens of minutes for the table
+    # a P3 among isolated letters, a matching and a free alphabet; checking
+    # the bipartite recipe pair by pair, on every call and for every letter,
+    # took 1.2 s for one embedding here and tens of minutes for the table,
+    # and building every image on the first call stores 8 million letters
     letters = [f"l{i}" for i in range(4_000)]
-    edges = [("l0", "l1"), ("l0", "l2")]
-    g = IndependenceAlphabet(letters, edges)
     last = ("a",) * 3_999 + ("b",)
-    assert _timed(embed_to_two_free, g, TraceWord(g, ("l3999",))) == ProductWord(last, last)
-    del g
-    images = _timed(letter_images, IndependenceAlphabet(letters, edges))
-    assert len(images) == 4_000 and images["l3999"] == ProductWord(last, last)
+    half = ("a",) * 1_999 + ("b",)
+    p3 = [("l0", "l1"), ("l0", "l2")]
+    matching = [(f"l{i}", f"l{i + 1}") for i in range(0, 4_000, 2)]
+    for edges, want in ((p3, ProductWord(last, last)),
+                        (matching, ProductWord(half, half + half)),
+                        ([], ProductWord(last, last))):
+        g = IndependenceAlphabet(letters, edges)
+        assert _timed(embed_to_two_free, g, TraceWord(g, ("l3999",))) == want
+        assert len(g._embedding) == 1  # only the image the word used
+        images = _timed(letter_images, IndependenceAlphabet(letters, edges))
+        assert len(images) == 4_000 and images["l3999"] == want
+    assert images["l0"] == ProductWord(("b",), ("b",))
+    g = IndependenceAlphabet(letters, p3)
+    images = _timed(letter_images, g)
     assert images["l0"] == ProductWord(("b",), ()) and images["l2"] == ProductWord((), ("a", "a", "b"))

@@ -105,7 +105,8 @@ def test_star_import_dir_and_unknown_names():
         quemon.no_such_name
     for oracle in ("mu", "rewrite_nf_oracle", "bfs_class_oracle",
                    "generalized_shift", "bfs_trace_class", "eta_matching",
-                   "bipartite_embedding", "dependence_stacks"):
+                   "bipartite_embedding", "dependence_stacks", "binary_encode",
+                   "PRODUCT_IDENTITY"):
         assert not hasattr(quemon, oracle), oracle
 
 
