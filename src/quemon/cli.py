@@ -2,9 +2,8 @@
 
 Exit codes: 0 on success, 2 on parse errors (including bad command lines),
 3 on precondition violations, 4 when `embed` is given a non-embeddable
-alphabet, 5 when a computation stops at runtime: a search or iteration
-bound is exceeded, a witness equation fails its check, or an internal
-self-check fails.
+alphabet, 5 when a computation stops at runtime: a witness equation fails
+its check, or an internal self-check fails.
 
 A quemon process runs one command, so this module imports at load time only
 argparse, the exceptions and the queue parsing and formatting helpers.
@@ -21,7 +20,6 @@ import sys
 from typing import Sequence
 
 from .errors import (
-    CapExceededError,
     InternalError,
     NotEmbeddableError,
     ParseError,
@@ -250,6 +248,8 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
 
 
 def _cmd_eq(ns: argparse.Namespace) -> int:
+    if ns.max_len < 0:
+        raise ParseError(f"--max-len must be nonnegative, got {ns.max_len}")
     letters = _letters(ns)
     u = parse_queue_word(ns.word1, letters)
     v = parse_queue_word(ns.word2, letters)
@@ -387,7 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (CapExceededError, VerificationFailedError, InternalError) as exc:
+    except (VerificationFailedError, InternalError) as exc:
         print(f"runtime error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 5
 

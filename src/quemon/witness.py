@@ -1,7 +1,7 @@
 """Verified witness equations showing letter images must commute or align.
 
 Each builder takes queue-monoid elements satisfying structural hypotheses,
-derives exponent vectors from a small exact linear system, assembles the
+derives exponent vectors by closed-form integer formulas, assembles the
 two sides of an equation, and verifies the equation by normal forms before
 returning it.  A report with verified=False is never returned; a failed
 check raises VerificationFailedError instead.
@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    CapExceededError,
     DegenerateSystemError,
     EmptyWordError,
     InternalError,
@@ -40,9 +38,6 @@ from .words import (
     power_exponent,
     primitive_root,
 )
-
-_ENLARGE_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -74,45 +69,22 @@ class WitnessReport:
 
 # -- exact linear algebra -----------------------------------------------------
 
-def _integer_kernel_vector(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:
-    """One nonzero integer kernel vector of the given row system, or None.
-
-    Deterministic: reduced row echelon form, first free variable set to one,
-    denominators cleared, content divided out, first nonzero entry positive.
+def _kernel_vector(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    """The primitive kernel vector of the rows a and b, first nonzero entry
+    positive, that Gaussian elimination setting the first free variable to
+    one picks: the cross product a x b for independent rows; for
+    proportional ones, with r the nonzero row, c0 its pivot column and f
+    the least other column, r[c0] at f, -r[f] at c0 and zero elsewhere.
     """
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    sol = [Fraction(0)] * ncols
-    sol[free[0]] = Fraction(1)
-    for i, c in enumerate(pivots):
-        sol[c] = -mat[i][free[0]]
-    denom = math.lcm(*(x.denominator for x in sol))
-    ints = [int(x * denom) for x in sol]
-    content = math.gcd(*ints)
-    ints = [x // content for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    z = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    if not any(z):
+        r = a if any(a) else b
+        c0 = next(c for c in range(3) if r[c])
+        f = 1 if c0 == 0 else 0
+        z = [0, 0, 0]
+        z[f], z[c0] = r[c0], -r[f]
+    g = math.gcd(*z) if next(e for e in z if e) > 0 else -math.gcd(*z)
+    return z[0] // g, z[1] // g, z[2] // g
 
 
 def solve_projection_system(
@@ -133,9 +105,7 @@ def solve_projection_system(
         raise PreconditionError("min_entry must be nonnegative")
     if not any(a) and not any(b):
         raise DegenerateSystemError("both coefficient rows are zero")
-    z = _integer_kernel_vector([a, b], 3)
-    if z is None:
-        raise InternalError("two equations in three unknowns left no kernel")
+    z = _kernel_vector(a, b)
     x = tuple(max(zi, 0) + min_entry for zi in z)
     y = tuple(max(-zi, 0) + min_entry for zi in z)
     if sum(ai * xi for ai, xi in zip(a, x)) != sum(ai * yi for ai, yi in zip(a, y)):
@@ -178,37 +148,34 @@ def p2p3_witness(u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:
     a_v, a_w = _common_root_exponents(project_pos(v), project_pos(w))
     b_v, b_w = _common_root_exponents(project_neg(v), project_neg(w))
 
-    if a_v == 0:
-        x_v, y_v, x_w, y_w = 1, 1, 0, 0
-    elif a_w == 0:
-        x_v, y_v, x_w, y_w = 0, 0, 1, 1
-    elif a_v * b_w == a_w * b_v:
-        x_v = y_v = a_w + b_w
-        x_w = y_w = a_v + b_v
-    else:
-        z = _integer_kernel_vector(
-            [
-                (a_v, 0, 0, -a_w),
-                (0, a_w, -a_v, 0),
-                (b_v, b_w, -b_v, -b_w),
-            ],
-            4,
-        )
-        if z is None:
-            raise InternalError("proportional exponent system left no kernel")
-        signs = {1 if e > 0 else -1 for e in z if e}
-        if len(signs) != 1:
-            raise InternalError("exponent solution is not sign coherent")
-        x_v, x_w, y_v, y_w = (abs(e) for e in z)
-
+    x_v, x_w = _p2p3_exponents(a_v, a_w, b_v, b_w)
     reads = len(project_neg(v)) * x_v + len(project_neg(w)) * x_w
     x_u = -(-reads // len(u))
     lhs = u * x_u + v * x_v + u + w * x_w
-    rhs = u * x_u + w * y_w + u + v * y_v
-    report = _verify("p2p3", (x_u, x_v, x_w), (x_u, y_v, y_w), lhs, rhs)
+    rhs = u * x_u + w * x_w + u + v * x_v
+    report = _verify("p2p3", (x_u, x_v, x_w), (x_u, x_v, x_w), lhs, rhs)
     if x_v + x_w == 0:
         raise InternalError("trivial exponents for v and w")
     return report
+
+
+def _p2p3_exponents(a_v: int, a_w: int, b_v: int, b_w: int) -> tuple[int, int]:
+    """Exponents of v and w, the same on both sides of the p2p3 equation.
+
+    a and b are the exponents of the write and read projections over their
+    shared roots.  Proportional pairs (a_v, b_v), (a_w, b_w) take
+    (a_w + b_w, a_v + b_v); otherwise the system a_v x_v = a_w y_w,
+    a_w x_w = a_v y_v, b_v (x_v - y_v) + b_w (x_w - y_w) = 0 has rank three
+    and its one primitive solution is x = y = (a_w, a_v) / gcd(a_v, a_w).
+    """
+    if a_v == 0:
+        return 1, 0
+    if a_w == 0:
+        return 0, 1
+    if a_v * b_w == a_w * b_v:
+        return a_w + b_w, a_v + b_v
+    g = math.gcd(a_v, a_w)
+    return a_w // g, a_v // g
 
 
 def _common_root_exponents(first: Word, second: Word) -> tuple[int, int]:
@@ -238,8 +205,8 @@ def nonconjugated_witness(
     p and q must be primitive and not conjugate; the write projections of
     u, v, w must be positive powers of p and the read projections positive
     powers of q.  Exponent vectors solve the projection-length system and
-    are then enlarged uniformly until both sides are long enough that the
-    central factor is pinned by the projections alone.
+    are then enlarged uniformly by the least amount that makes both sides
+    long enough that the central factor is pinned by the projections alone.
     """
     if not p or not q:
         raise EmptyWordError("p and q must be nonempty")
@@ -251,29 +218,37 @@ def nonconjugated_witness(
     a = tuple(_positive_exponent(project_pos(x), p, "write") for x in (u, v, w))
     b = tuple(_positive_exponent(project_neg(x), q, "read") for x in (u, v, w))
     x0, y0 = solve_projection_system(a, b, min_entry=0)
-
-    need = len(p) + len(q)
-    for n in range(_ENLARGE_CAP):
-        xs = tuple(e + n for e in x0)
-        ys = tuple(e + n for e in y0)
-        long_enough = all(
-            (
-                need <= b[2] * vec[2] * len(q)
-                and need <= (a[0] * vec[0] + a[1] * vec[1]) * len(p)
-            )
-            for vec in (xs, ys)
-        )
-        if long_enough:
-            break
-    else:
-        raise CapExceededError("enlargement bound reached")
-
+    n = _long_enough_shift(a, b, x0, y0, len(p), len(q))
+    xs = tuple(e + n for e in x0)
+    ys = tuple(e + n for e in y0)
     lhs = u * xs[0] + v * xs[1] + w * xs[2]
     rhs = u * ys[0] + v * ys[1] + w * ys[2]
     report = _verify("nonconjugated", xs, ys, lhs, rhs)
     if xs == ys:
         raise InternalError("exponent vectors collapsed")
     return report
+
+
+def _long_enough_shift(
+    a: Sequence[int], b: Sequence[int], x0: Sequence[int], y0: Sequence[int],
+    len_p: int, len_q: int,
+) -> int:
+    """Least n >= 0 such that, with n added to every exponent of x0 and of
+    y0, the last factor reads and the first two write |p| + |q| letters or
+    more on both sides.
+
+    Both lengths grow linearly in n, by b_w |q| and (a_u + a_v) |p|, so
+    each bound is a ceiling division.
+    """
+    need = len_p + len_q
+    reads = -(-need // (b[2] * len_q))
+    writes = -(-need // len_p)
+    return max(
+        0,
+        *(reads - vec[2] for vec in (x0, y0)),
+        *(-((a[0] * vec[0] + a[1] * vec[1] - writes) // (a[0] + a[1]))
+          for vec in (x0, y0)),
+    )
 
 
 def _positive_exponent(proj: Word, base: Word, which: str) -> int:
@@ -343,6 +318,27 @@ def mixed_exponent(
     return min(_mixed_rows(profiles, x))
 
 
+def _dominating_shift(
+    profiles: Sequence[tuple[int, int, int]], x0: Sequence[int], y0: Sequence[int],
+    coord: int,
+) -> int:
+    """Least k >= 0 such that, with coordinate coord of x0 and of y0 raised
+    by k, row coord of the center formula is the minimum on both sides.
+
+    coord is 0 for a first factor writing more than it reads and 2 for a
+    last factor reading more than it writes.  Each step adds min(a, b) of
+    that factor to its own row and max(a, b) to the other two, so each gap
+    shrinks by |a - b| > 0; the own row's zero gap keeps k nonnegative.
+    """
+    a, b, _ = profiles[coord]
+    d = abs(a - b)
+    return max(
+        -((rows[j] - rows[coord]) // d)
+        for rows in (_mixed_rows(profiles, x0), _mixed_rows(profiles, y0))
+        for j in range(3)
+    )
+
+
 _ROTATIONS = (("trivial", (0, 1, 2)), ("vwu", (1, 2, 0)), ("wuv", (2, 0, 1)))
 
 
@@ -355,48 +351,36 @@ def conjugated_witness(
     read projections positive powers of q.  The inputs are rotated so that
     either all factors are balanced, the first writes more than it reads,
     or the last reads more than it writes; exponents solve the projection
-    system with entries at least two and one coordinate is raised until the
-    designated row of the center formula is the minimum on both sides.
+    system with entries at least two and one coordinate is raised by the
+    least amount that makes the designated row of the center formula the
+    minimum on both sides.
     """
     words = (u, v, w)
     profiles = tuple(conjugacy_profile(normal_form(x), dec) for x in words)
 
     if all(a == b for a, b, _ in profiles):
-        name, idx, case = "trivial", (0, 1, 2), "balanced"
+        name, idx, coord = "trivial", (0, 1, 2), None
     else:
         for name, idx in _ROTATIONS:
             a, b, _ = profiles[idx[0]]
             if a > b:
-                case = "pos-heavy"
+                coord = 0
                 break
         else:
             for name, idx in _ROTATIONS:
                 a, b, _ = profiles[idx[2]]
                 if a < b:
-                    case = "neg-heavy"
+                    coord = 2
                     break
             else:
                 raise InternalError("no rotation applicable to unbalanced input")
 
     rwords = tuple(words[i] for i in idx)
     rprof = tuple(profiles[i] for i in idx)
-    a_row = tuple(p[0] for p in rprof)
-    b_row = tuple(p[1] for p in rprof)
-    x0, y0 = solve_projection_system(a_row, b_row, min_entry=2)
-
-    if case == "balanced":
-        x, y = x0, y0
-    else:
-        coord, row = (0, 0) if case == "pos-heavy" else (2, 2)
-        for k in range(_ENLARGE_CAP):
-            x = tuple(e + k if i == coord else e for i, e in enumerate(x0))
-            y = tuple(e + k if i == coord else e for i, e in enumerate(y0))
-            rows_x = _mixed_rows(rprof, x)
-            rows_y = _mixed_rows(rprof, y)
-            if rows_x[row] == min(rows_x) and rows_y[row] == min(rows_y):
-                break
-        else:
-            raise CapExceededError("row-domination bound reached")
+    x0, y0 = solve_projection_system([p[0] for p in rprof], [p[1] for p in rprof], min_entry=2)
+    k = 0 if coord is None else _dominating_shift(rprof, x0, y0, coord)
+    x = tuple(e + k if i == coord else e for i, e in enumerate(x0))
+    y = tuple(e + k if i == coord else e for i, e in enumerate(y0))
 
     if mixed_exponent(dec, rprof, x) != mixed_exponent(dec, rprof, y):
         raise InternalError("center exponents of the two sides disagree")

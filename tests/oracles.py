@@ -11,7 +11,9 @@ every dependent pair, the dependence stacks by one projection per letter,
 the separating-queue search of `quemon eq` with every level of candidates
 held in a list, and the two embeddings built word by word, the bipartite
 one behind a recipe check that tries every pair, with the encoding of
-their indexed letters into {a, b}.  They share no code with
+their indexed letters into {a, b}, and the witness exponents by Gaussian
+elimination over the rationals and by enlarging one step at a time up to a
+cap.  They share no code with
 the kernels they check: the product here is rebuilt on the scanning
 overlap, and the trace oracles ask the alphabet only which pairs are
 independent.  The brute-force oracles come last: the normal form by
@@ -21,6 +23,8 @@ form, are mu (the center alone) and the block-shift identities.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from quemon import (
     BOTTOM,
@@ -251,6 +255,101 @@ def projection_equivalent(g, u, v):
             if [x for x in u if x in keep] != [x for x in v if x in keep]:
                 return False
     return True
+
+
+def fraction_kernel_vector(rows, ncols):
+    """One nonzero integer kernel vector of the given row system, or None.
+
+    Deterministic: reduced row echelon form, first free variable set to one,
+    denominators cleared, content divided out, first nonzero entry positive.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    sol = [Fraction(0)] * ncols
+    sol[free[0]] = Fraction(1)
+    for i, c in enumerate(pivots):
+        sol[c] = -mat[i][free[0]]
+    denom = math.lcm(*(x.denominator for x in sol))
+    ints = [int(x * denom) for x in sol]
+    content = math.gcd(*ints)
+    ints = [x // content for x in ints]
+    lead = next(x for x in ints if x)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def kernel_p2p3_exponents(a_v, a_w, b_v, b_w):
+    """(x_v, x_w, y_v, y_w) of the p2p3 equation, the non-proportional case
+    from a kernel vector of its 3x4 system, checked for coherent signs."""
+    if a_v == 0:
+        return 1, 0, 1, 0
+    if a_w == 0:
+        return 0, 1, 0, 1
+    if a_v * b_w == a_w * b_v:
+        return a_w + b_w, a_v + b_v, a_w + b_w, a_v + b_v
+    z = fraction_kernel_vector(
+        [(a_v, 0, 0, -a_w), (0, a_w, -a_v, 0), (b_v, b_w, -b_v, -b_w)], 4
+    )
+    assert z is not None
+    assert len({e > 0 for e in z if e}) == 1, "exponent solution is not sign coherent"
+    return tuple(abs(e) for e in z)
+
+
+def enlarge_until_long(a, b, x0, y0, len_p, len_q, cap=1_000_000):
+    """Least n < cap such that, with n added to every exponent, both sides
+    of the nonconjugated equation write and read |p| + |q| letters or more,
+    trying n = 0, 1, 2, ... in turn."""
+    need = len_p + len_q
+    for n in range(cap):
+        if all(
+            need <= b[2] * (vec[2] + n) * len_q
+            and need <= (a[0] * (vec[0] + n) + a[1] * (vec[1] + n)) * len_p
+            for vec in (x0, y0)
+        ):
+            return n
+    raise CapExceededError("enlargement bound reached")
+
+
+def raise_until_dominant(profiles, x0, y0, coord, cap=1_000_000):
+    """Least k < cap such that, with coordinate coord of x0 and y0 raised by
+    k, row coord of the conjugated center formula is a least row on both
+    sides, trying k = 0, 1, 2, ... in turn."""
+    (a_u, b_u, c_u), (a_v, b_v, c_v), (a_w, b_w, c_w) = profiles
+    m_u, m_v, m_w = min(a_u, b_u), min(a_v, b_v), min(a_w, b_w)
+
+    def rows(x_u, x_v, x_w):
+        return (
+            m_u * x_u + b_v * x_v + b_w * x_w + c_u - m_u,
+            a_u * x_u + m_v * x_v + b_w * x_w + c_v - m_v,
+            a_u * x_u + a_v * x_v + m_w * x_w + c_w - m_w,
+        )
+
+    for k in range(cap):
+        raised = [rows(*(e + k if i == coord else e for i, e in enumerate(vec)))
+                  for vec in (x0, y0)]
+        if all(r[coord] == min(r) for r in raised):
+            return k
+    raise CapExceededError("row-domination bound reached")
 
 
 def mu(w):

@@ -93,6 +93,13 @@ def test_eq_search_bound(capsys):
     assert out == "DISTINGUISHED queue='a' lhs=a rhs=aa\n"
 
 
+@pytest.mark.parametrize("words", [("~aa", "~aaa"), ("a", "a")], ids=["distinct", "equal"])
+def test_eq_negative_search_bound_is_a_parse_error(capsys, words):
+    code, out, err = run(capsys, "eq", "--max-len", "-3", *words)
+    assert (code, out) == (2, "")
+    assert err == "parse error: --max-len must be nonnegative, got -3\n"
+
+
 def test_eq_separates_a_unary_pair_with_an_unused_letter(capsys, tmp_path):
     # a~a reads back what it wrote, so only a letter it does not use tells
     # it from the empty word
@@ -312,16 +319,6 @@ def test_hostile_alphabet_files_exit_2(capsys, tmp_path, content):
     assert (code, out) == (2, "")
     assert err.startswith("parse error:")
     assert err.count("\n") == 1
-
-
-def test_cap_exceeded_exits_5(capsys, monkeypatch):
-    import quemon.witness
-
-    monkeypatch.setattr(quemon.witness, "_ENLARGE_CAP", 0)
-    code, out, err = run(capsys, "witness", "nonconjugated",
-                         "a~b", "a~b", "a~b", "a", "b")
-    assert (code, out) == (5, "")
-    assert err == "runtime error (CapExceededError): enlargement bound reached\n"
 
 
 def test_failed_verification_exits_5(capsys, monkeypatch):

@@ -79,7 +79,7 @@ def test_witness_loads_no_alphabet_code():
     rc, _, loaded = run_fresh("witness", "p2p3", "a", "~c", "~c~c")
     assert rc == 0
     assert "quemon.witness" in loaded
-    for name in ("quemon.alphabet", "quemon.trace", "quemon.embed"):
+    for name in ("fractions", "quemon.alphabet", "quemon.trace", "quemon.embed"):
         assert name not in loaded, name
 
 

@@ -1,5 +1,9 @@
 """Witness equations: the exact solver, the four builders, their reports."""
 
+import itertools
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +23,17 @@ from quemon import (
     p4_witness,
     parse_queue_word,
     parse_word,
+    power_exponent,
+    project_neg,
+    project_pos,
     solve_projection_system,
+)
+from quemon.witness import (
+    _ROTATIONS,
+    _common_root_exponents,
+    _dominating_shift,
+    _long_enough_shift,
+    _p2p3_exponents,
 )
 
 from batteries import (
@@ -27,6 +41,12 @@ from batteries import (
     NONCONJUGATED_BATTERY,
     P2P3_BATTERY,
     P4_BATTERY,
+)
+from oracles import (
+    enlarge_until_long,
+    fraction_kernel_vector,
+    kernel_p2p3_exponents,
+    raise_until_dominant,
 )
 
 P = parse_queue_word
@@ -63,6 +83,113 @@ def test_solver_invariants(a, b, min_entry):
     assert all(e >= min_entry for e in x + y)
     assert sum(ai * xi for ai, xi in zip(a, x)) == sum(ai * yi for ai, yi in zip(a, y))
     assert sum(bi * xi for bi, xi in zip(b, x)) == sum(bi * yi for bi, yi in zip(b, y))
+
+
+# -- closed forms against the elimination and enlargement oracles -------------------
+
+def _kernel_split(a, b, min_entry):
+    """Solver output rebuilt from the Gaussian-elimination oracle."""
+    z = fraction_kernel_vector([a, b], 3)
+    return (tuple(max(e, 0) + min_entry for e in z),
+            tuple(max(-e, 0) + min_entry for e in z))
+
+
+def test_solver_matches_gaussian_elimination_on_every_small_row_pair():
+    rows = list(itertools.product(range(7), repeat=3))
+    for a in rows:
+        for b in rows:
+            if any(a) or any(b):
+                assert solve_projection_system(a, b) == _kernel_split(a, b, 0), (a, b)
+
+
+signed = st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3)
+
+
+@settings(max_examples=500)
+@given(signed, signed, st.integers(min_value=0, max_value=3))
+def test_solver_matches_gaussian_elimination_on_signed_rows(a, b, min_entry):
+    if any(a) or any(b):
+        assert solve_projection_system(a, b, min_entry) == _kernel_split(a, b, min_entry)
+
+
+def test_p2p3_exponents_match_the_kernel_of_the_3x4_system():
+    nonproportional = 0
+    for a_v, a_w, b_v, b_w in itertools.product(range(9), repeat=4):
+        x_v, x_w = _p2p3_exponents(a_v, a_w, b_v, b_w)
+        assert kernel_p2p3_exponents(a_v, a_w, b_v, b_w) == (x_v, x_w, x_v, x_w)
+        nonproportional += a_v > 0 and a_w > 0 and a_v * b_w != a_w * b_v
+    assert nonproportional == 4_960
+
+
+def test_nonconjugated_shift_matches_the_enlargement_loop():
+    positive = list(itertools.product(range(1, 5), repeat=3))
+    for a in positive:
+        for b in positive:
+            x0, y0 = solve_projection_system(a, b)
+            for len_p, len_q in itertools.product(range(1, 5), repeat=2):
+                assert (_long_enough_shift(a, b, x0, y0, len_p, len_q)
+                        == enlarge_until_long(a, b, x0, y0, len_p, len_q)), (a, b, len_p, len_q)
+
+
+def test_conjugated_shift_matches_the_row_loop():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 5_000:
+        profiles = tuple((rng.randint(1, 9), rng.randint(1, 9), rng.randint(-1, 20))
+                         for _ in range(3))
+        x0, y0 = solve_projection_system([p[0] for p in profiles], [p[1] for p in profiles], 2)
+        for coord in (0, 2):
+            a, b, _ = profiles[coord]
+            # the first factor is raised when it writes more than it reads,
+            # the last when it reads more than it writes
+            if (a > b) if coord == 0 else (a < b):
+                assert (_dominating_shift(profiles, x0, y0, coord)
+                        == raise_until_dominant(profiles, x0, y0, coord)), profiles
+                checked += 1
+
+
+def test_every_battery_report_matches_the_oracle_exponents():
+    for u, v, w in P2P3_BATTERY:
+        a_v, a_w = _common_root_exponents(project_pos(v), project_pos(w))
+        b_v, b_w = _common_root_exponents(project_neg(v), project_neg(w))
+        x_v, x_w, y_v, y_w = kernel_p2p3_exponents(a_v, a_w, b_v, b_w)
+        r = p2p3_witness(u, v, w)
+        assert (r.x[1:], r.y[1:]) == ((x_v, x_w), (y_v, y_w))
+
+    for u, v, w, p, q in NONCONJUGATED_BATTERY:
+        a = tuple(power_exponent(project_pos(x), p) for x in (u, v, w))
+        b = tuple(power_exponent(project_neg(x), q) for x in (u, v, w))
+        x0, y0 = _kernel_split(a, b, 0)
+        n = enlarge_until_long(a, b, x0, y0, len(p), len(q))
+        r = nonconjugated_witness(u, v, w, p, q)
+        assert r.x == tuple(e + n for e in x0) and r.y == tuple(e + n for e in y0)
+
+    for u, v, w, dec, rotation in CONJUGATED_BATTERY:
+        idx = dict(_ROTATIONS)[rotation]
+        rprof = [conjugacy_profile(normal_form((u, v, w)[i]), dec) for i in idx]
+        x0, y0 = _kernel_split([p[0] for p in rprof], [p[1] for p in rprof], 2)
+        if all(p[0] == p[1] for p in rprof):
+            coord, k = 0, 0
+        else:
+            coord = 0 if rprof[0][0] > rprof[0][1] else 2
+            k = raise_until_dominant(rprof, x0, y0, coord)
+        r = conjugated_witness(u, v, w, dec)
+        assert r.kind == f"conjugated:{rotation}"
+        assert r.x == tuple(e + k * (i == coord) for i, e in enumerate(x0))
+        assert r.y == tuple(e + k * (i == coord) for i, e in enumerate(y0))
+
+
+def test_conjugated_far_from_row_domination_is_solved_directly():
+    # the first factor must be raised by about a million before its row is
+    # the least; stepping there one at a time stopped at a cap of 10**6
+    dec = ConjugacyDecomposition((), ("a",))
+    u, v, w = P("aa~a"), P("a" + "~a" * 1002), P("a" * 1002 + "~a")
+    start = time.perf_counter()
+    r = conjugated_witness(u, v, w, dec)
+    elapsed = time.perf_counter() - start
+    assert r.verified and r.kind == "conjugated:trivial"
+    assert r.x == (2_007_005, 2, 2) and r.y == (1_003_002, 1_002, 2_005)
+    assert elapsed < 60, f"took {elapsed:.1f}s"  # about 4 s, nearly all in the check
 
 
 # -- write-block against two commuting factors ------------------------------------
