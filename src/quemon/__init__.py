@@ -25,16 +25,12 @@ _EXPORTS = {
         "NotEmbeddable",
         "OddCycle",
         "TwoNontrivialComponents",
-        "connected_components",
         "decide_embeddable",
         "gamma_partition",
-        "is_complete_bipartite",
-        "is_p4_free",
     ),
     "embed": (
         "EmbeddingReport",
         "ProductWord",
-        "binary_decode",
         "embed_to_two_free",
         "letter_images",
         "verify_embedding_bounded",
@@ -68,18 +64,14 @@ _EXPORTS = {
         "multiply",
         "nf_power",
         "normal_form",
-        "parse_normal_form",
         "parse_queue_word",
         "parse_word",
         "power_mu",
         "project_neg",
         "project_pos",
-        "read_actions",
-        "write_actions",
     ),
     "trace": (
         "TraceWord",
-        "clique_projection",
         "lex_normal_form",
         "trace_equivalent",
     ),
@@ -98,10 +90,8 @@ _EXPORTS = {
         "conjugacy_decomposition",
         "is_primitive",
         "overlap",
-        "overlap_gq",
         "power_exponent",
         "primitive_root",
-        "sandwich_form",
     ),
 }
 

@@ -15,7 +15,7 @@ import json
 import re
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import IdentityImageError, ParseError, PreconditionError
+from .errors import IdentityImageError, ParseError
 from .queue import QueueWord, project_neg, project_pos
 from .words import Letter
 
@@ -212,11 +212,6 @@ def is_complete_bipartite(
     The component must be a connected component of g containing an edge.
     """
     comp = tuple(component)
-    if comp not in connected_components(g):
-        raise PreconditionError(f"{comp!r} is not a connected component")
-    if len(comp) < 2:
-        raise PreconditionError("component has no edge")
-
     root = comp[0]
     color = {root: 0}
     parent: dict[Letter, Letter | None] = {root: None}
@@ -277,28 +272,6 @@ def _cycle_through(
     if len(cycle) > 1 and cycle[-1] < cycle[1]:
         cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
     return cycle
-
-
-def is_p4_free(g: IndependenceAlphabet) -> tuple[Letter, Letter, Letter, Letter] | None:
-    """None when g has no induced path on four vertices, else such a path.
-
-    The witness (a, b, c, d) carries edges ab, bc, cd and no other edges
-    among the four vertices.
-    """
-    from itertools import combinations, permutations
-
-    for quad in combinations(g.letters, 4):
-        for a, b, c, d in permutations(quad):
-            if (
-                g.independent(a, b)
-                and g.independent(b, c)
-                and g.independent(c, d)
-                and not g.independent(a, c)
-                and not g.independent(a, d)
-                and not g.independent(b, d)
-            ):
-                return (a, b, c, d)
-    return None
 
 
 # -- embeddability classification --------------------------------------------

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 on parse errors (including bad command lines),
-3 on precondition violations, 4 when `embed` is given a non-embeddable
-alphabet, 5 when a computation stops at runtime: a witness equation fails
-its check, or an internal self-check fails.
+Exit codes: 0 on success, 1 when the output cannot be written (a closed
+pipe), 2 on parse errors (including bad command lines), 3 on precondition
+violations, 4 when `embed` is given a non-embeddable alphabet, 5 when a
+computation stops at runtime: a witness equation would exceed its size cap
+or fails its check, or an internal self-check fails.
+
+Each command returns its JSON payload and its text line; `main` prints one
+of them, once, after the command has finished.
 
 A quemon process runs one command, so this module imports at load time only
 argparse, the exceptions and the queue parsing and formatting helpers.
@@ -16,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from typing import Sequence
 
 from .errors import (
+    CapExceededError,
     InternalError,
     NotEmbeddableError,
     ParseError,
@@ -40,11 +46,12 @@ from .queue import (
     parse_word,
 )
 
-_WITNESS_ARGS = {
-    "p2p3": ("U", "V", "W"),
-    "nonconjugated": ("U", "V", "W", "P", "Q"),
-    "conjugated": ("U", "V", "W", "G", "H"),
-    "p4": ("T", "U", "V", "W"),
+# kind -> (argument names, name of the builder in quemon.witness)
+_WITNESS_KINDS = {
+    "p2p3": ("UVW", "p2p3_witness"),
+    "nonconjugated": ("UVWPQ", "nonconjugated_witness"),
+    "conjugated": ("UVWGH", "conjugated_witness"),
+    "p4": ("TUVW", "p4_witness"),
 }
 
 
@@ -110,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = add("witness", "generate a verified witness equation (JSON)")
+    p.set_defaults(json=True)  # the report is printed as JSON only
     add_queue_flags(p)
-    p.add_argument("kind", choices=sorted(_WITNESS_ARGS))
+    p.add_argument("kind", choices=sorted(_WITNESS_KINDS))
     p.add_argument("args", nargs="*", help="queue words and root words per kind")
 
     return parser
@@ -123,15 +131,6 @@ def _letters(ns: argparse.Namespace) -> tuple[str, ...]:
 
         return IndependenceAlphabet.load(ns.alphabet).letters
     return DEFAULT_ALPHABET
-
-
-def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
-    if ns.json:
-        import json
-
-        print(json.dumps(payload, sort_keys=False))
-    else:
-        print(text)
 
 
 def _nf_payload(nf) -> dict:
@@ -206,26 +205,23 @@ def _describe(record) -> tuple[object, str]:
     return str(record), str(record)
 
 
-def _cmd_decide(ns: argparse.Namespace) -> int:
+def _cmd_decide(ns: argparse.Namespace) -> tuple[object, str]:
     from .alphabet import IndependenceAlphabet, decide_embeddable
 
-    _emit(ns, *_describe(decide_embeddable(IndependenceAlphabet.load(ns.file))))
-    return 0
+    return _describe(decide_embeddable(IndependenceAlphabet.load(ns.file)))
 
 
-def _cmd_nf(ns: argparse.Namespace) -> int:
+def _cmd_nf(ns: argparse.Namespace) -> tuple[object, str]:
     nf = normal_form(parse_queue_word(ns.word, _letters(ns)))
-    _emit(ns, _nf_payload(nf), format_normal_form(nf))
-    return 0
+    return _nf_payload(nf), format_normal_form(nf)
 
 
-def _cmd_mul(ns: argparse.Namespace) -> int:
+def _cmd_mul(ns: argparse.Namespace) -> tuple[object, str]:
     letters = _letters(ns)
     x = normal_form(parse_queue_word(ns.word1, letters))
     y = normal_form(parse_queue_word(ns.word2, letters))
     nf = multiply(x, y)
-    _emit(ns, _nf_payload(nf), format_normal_form(nf))
-    return 0
+    return _nf_payload(nf), format_normal_form(nf)
 
 
 def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_ALPHABET):
@@ -247,43 +243,38 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     return None
 
 
-def _cmd_eq(ns: argparse.Namespace) -> int:
+def _cmd_eq(ns: argparse.Namespace) -> tuple[object, str]:
     if ns.max_len < 0:
         raise ParseError(f"--max-len must be nonnegative, got {ns.max_len}")
     letters = _letters(ns)
     u = parse_queue_word(ns.word1, letters)
     v = parse_queue_word(ns.word2, letters)
     if equivalent(u, v):
-        _emit(ns, {"equivalent": True}, "EQUIVALENT")
-        return 0
+        return {"equivalent": True}, "EQUIVALENT"
     queue = _distinguishing_queue(u, v, ns.max_len, letters)
     if queue is None:
-        payload = {"equivalent": False, "queue": None}
         text = f"DISTINGUISHED: no separating queue up to length {ns.max_len}"
-    else:
-        lhs = format_state(action(queue, u))
-        rhs = format_state(action(queue, v))
-        payload = {
-            "equivalent": False,
-            "queue": format_word(queue),
-            "lhs": lhs,
-            "rhs": rhs,
-        }
-        text = f"DISTINGUISHED queue='{format_word(queue)}' lhs={lhs} rhs={rhs}"
-    _emit(ns, payload, text)
-    return 0
+        return {"equivalent": False, "queue": None}, text
+    lhs = format_state(action(queue, u))
+    rhs = format_state(action(queue, v))
+    payload = {
+        "equivalent": False,
+        "queue": format_word(queue),
+        "lhs": lhs,
+        "rhs": rhs,
+    }
+    return payload, f"DISTINGUISHED queue='{format_word(queue)}' lhs={lhs} rhs={rhs}"
 
 
-def _cmd_action(ns: argparse.Namespace) -> int:
+def _cmd_action(ns: argparse.Namespace) -> tuple[object, str]:
     letters = _letters(ns)
     queue = parse_word(ns.queue, letters)
     word = parse_queue_word(ns.word, letters)
-    state = action(queue, word)
-    _emit(ns, {"state": format_state(state)}, format_state(state))
-    return 0
+    state = format_state(action(queue, word))
+    return {"state": state}, state
 
 
-def _cmd_traceeq(ns: argparse.Namespace) -> int:
+def _cmd_traceeq(ns: argparse.Namespace) -> tuple[object, str]:
     from .alphabet import IndependenceAlphabet
     from .trace import TraceWord, trace_equivalent
 
@@ -291,22 +282,20 @@ def _cmd_traceeq(ns: argparse.Namespace) -> int:
     u = TraceWord(g, parse_word(ns.word1, g.letters))
     v = TraceWord(g, parse_word(ns.word2, g.letters))
     eq = trace_equivalent(u, v)
-    _emit(ns, {"equivalent": eq}, "EQUIVALENT" if eq else "NOT EQUIVALENT")
-    return 0
+    return {"equivalent": eq}, "EQUIVALENT" if eq else "NOT EQUIVALENT"
 
 
-def _cmd_lexnf(ns: argparse.Namespace) -> int:
+def _cmd_lexnf(ns: argparse.Namespace) -> tuple[object, str]:
     from .alphabet import IndependenceAlphabet
     from .trace import TraceWord, lex_normal_form
 
     g = IndependenceAlphabet.load(ns.file)
     u = TraceWord(g, parse_word(ns.word, g.letters))
     nf = format_word(lex_normal_form(u).word)
-    _emit(ns, {"word": nf}, nf)
-    return 0
+    return {"word": nf}, nf
 
 
-def _cmd_embed(ns: argparse.Namespace) -> int:
+def _cmd_embed(ns: argparse.Namespace) -> tuple[object, str]:
     from .alphabet import IndependenceAlphabet
     from .embed import embed_to_two_free
     from .trace import TraceWord
@@ -320,41 +309,29 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
         "second": format_word(image.second),
         "text": text,
     }
-    _emit(ns, payload, text)
-    return 0
+    return payload, text
 
 
-def _cmd_witness(ns: argparse.Namespace) -> int:
-    import json
-
-    from .witness import conjugated_witness, nonconjugated_witness, p2p3_witness, p4_witness
+def _cmd_witness(ns: argparse.Namespace) -> tuple[object, None]:
+    """The report of the builder for ns.kind; T, U, V, W are queue words,
+    P, Q, G, H plain words, and G, H form a ConjugacyDecomposition."""
+    from . import witness
     from .words import ConjugacyDecomposition
 
-    expected = _WITNESS_ARGS[ns.kind]
-    if len(ns.args) != len(expected):
+    names, builder = _WITNESS_KINDS[ns.kind]
+    if len(ns.args) != len(names):
         raise ParseError(
-            f"witness {ns.kind} takes {len(expected)} arguments "
-            f"({' '.join(expected)}), got {len(ns.args)}"
+            f"witness {ns.kind} takes {len(names)} arguments "
+            f"({' '.join(names)}), got {len(ns.args)}"
         )
     letters = _letters(ns)
-    if ns.kind == "p2p3":
-        words = [parse_queue_word(a, letters) for a in ns.args]
-        report = p2p3_witness(*words)
-    elif ns.kind == "nonconjugated":
-        u, v, w = (parse_queue_word(a, letters) for a in ns.args[:3])
-        p = parse_word(ns.args[3], letters)
-        q = parse_word(ns.args[4], letters)
-        report = nonconjugated_witness(u, v, w, p, q)
-    elif ns.kind == "conjugated":
-        u, v, w = (parse_queue_word(a, letters) for a in ns.args[:3])
-        g = parse_word(ns.args[3], letters)
-        h = parse_word(ns.args[4], letters)
-        report = conjugated_witness(u, v, w, ConjugacyDecomposition(g, h))
-    else:
-        words = [parse_queue_word(a, letters) for a in ns.args]
-        report = p4_witness(*words)
-    print(json.dumps(report.to_json(), sort_keys=False))
-    return 0
+    args = [
+        parse_queue_word(text, letters) if name in "TUVW" else parse_word(text, letters)
+        for name, text in zip(names, ns.args)
+    ]
+    if names.endswith("GH"):
+        args[3:] = [ConjugacyDecomposition(*args[3:])]
+    return getattr(witness, builder)(*args).to_json(), None
 
 
 _COMMANDS = {
@@ -374,7 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        return _COMMANDS[ns.command](ns)
+        payload, text = _COMMANDS[ns.command](ns)
     except NotEmbeddableError as exc:
         print(f"not embeddable: {_describe(exc.args[0])[1]}", file=sys.stderr)
         return 4
@@ -387,9 +364,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailedError, InternalError) as exc:
+    except (CapExceededError, VerificationFailedError, InternalError) as exc:
         print(f"runtime error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 5
+    if ns.json:
+        import json
+
+        text = json.dumps(payload, sort_keys=False)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        # what is left in the buffer would fail again, with a traceback
+        # line, when the interpreter flushes stdout at exit
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            pass  # an in-memory stdout has no descriptor and no exit flush
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .alphabet import (
     NotEmbeddable,
     decide_embeddable,
 )
-from .errors import NotEmbeddableError, ParseError, RecipeMismatchError
+from .errors import NotEmbeddableError, RecipeMismatchError
 from .words import Letter, Word
 
 if TYPE_CHECKING:
@@ -92,24 +92,6 @@ def _images(g: IndependenceAlphabet) -> _LetterImages:
     if isinstance(images, NotEmbeddable):
         raise NotEmbeddableError(images.reason)
     return images  # type: ignore[return-value]
-
-
-def binary_decode(w: Word, letters: tuple[Letter, Letter] = ("a", "b")) -> tuple[int, ...]:
-    """Recover the index sequence from a binary-encoded word."""
-    zero, one = letters
-    out: list[int] = []
-    run = 0
-    for x in w:
-        if x == zero:
-            run += 1
-        elif x == one:
-            out.append(run)
-            run = 0
-        else:
-            raise ParseError(f"unexpected letter {x!r} in encoded word")
-    if run:
-        raise ParseError("encoded word ends inside a block of index letters")
-    return tuple(out)
 
 
 def embed_to_two_free(g: IndependenceAlphabet, u: TraceWord) -> ProductWord:

@@ -68,25 +68,8 @@ BOTTOM = _BottomType()
 QueueState = Union[Word, _BottomType]
 
 
-def is_read(a: Action) -> bool:
-    return a.startswith("~")
-
-
 def action_letter(a: Action) -> Letter:
     return a[1:] if a.startswith("~") else a
-
-
-def write_actions(w: Word) -> QueueWord:
-    """The action sequence writing the letters of w in order."""
-    return tuple(w)
-
-
-def read_actions(w: Word) -> QueueWord:
-    """The action sequence reading the letters of w in order."""
-    # tuple([...]) allocates the tuple at its final size; tuple() over a
-    # generator grows and then shrinks it, which in hot loops strands
-    # memory in the interpreter's per-size tuple free lists.
-    return tuple(["~" + x for x in w])
 
 
 def action(state: QueueState, w: QueueWord) -> QueueState:
@@ -278,16 +261,6 @@ def format_queue_word(w: QueueWord) -> str:
 
 def format_normal_form(nf: QueueNormalForm) -> str:
     return f"<{format_word(nf.reads)}|{format_word(nf.center)}|{format_word(nf.writes)}>"
-
-
-def parse_normal_form(text: str, alphabet: Collection[Letter] | None = None) -> QueueNormalForm:
-    if not (text.startswith("<") and text.endswith(">")):
-        raise ParseError(f"normal form must look like <u1|u2|u3>, got {text!r}")
-    parts = text[1:-1].split("|")
-    if len(parts) != 3:
-        raise ParseError(f"normal form must have three components, got {text!r}")
-    u1, u2, u3 = (parse_word(p, alphabet) for p in parts)
-    return QueueNormalForm(u1, u2, u3)
 
 
 def format_state(state: QueueState) -> str:

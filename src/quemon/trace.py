@@ -132,12 +132,3 @@ def trace_equivalent(u: TraceWord, v: TraceWord) -> bool:
         return False
     return _stacks(u) == _stacks(v)
 
-
-def clique_projection(u: TraceWord, letters: Sequence[Letter]) -> Word:
-    """Erase every letter outside the given set.
-
-    When the kept letters are pairwise dependent the projection is a word
-    whose value is invariant across u's class.
-    """
-    keep = set(letters)
-    return tuple(x for x in u.word if x in keep)

@@ -4,16 +4,20 @@ Each builder takes queue-monoid elements satisfying structural hypotheses,
 derives exponent vectors by closed-form integer formulas, assembles the
 two sides of an equation, and verifies the equation by normal forms before
 returning it.  A report with verified=False is never returned; a failed
-check raises VerificationFailedError instead.
+check raises VerificationFailedError instead.  Exponents can grow with the
+square of the input, so a side of more than 10**7 actions raises
+CapExceededError before it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import (
+    CapExceededError,
     DegenerateSystemError,
     EmptyWordError,
     InternalError,
@@ -38,6 +42,9 @@ from .words import (
     power_exponent,
     primitive_root,
 )
+
+_MAX_SIDE_ACTIONS = 10**7  # actions on one side of a witness equation
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -122,6 +129,20 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
+def _power_product(factors: Sequence[QueueWord], exponents: Sequence[int]) -> QueueWord:
+    """factors[0]^exponents[0] factors[1]^exponents[1] ... as one action word.
+
+    Raises CapExceededError, before building anything, when the word would
+    have more than _MAX_SIDE_ACTIONS actions.
+    """
+    size = sum(map(mul, map(len, factors), exponents))
+    if size > _MAX_SIDE_ACTIONS:
+        raise CapExceededError(
+            f"a side of the equation would have {size} actions, over the cap of {_MAX_SIDE_ACTIONS}"
+        )
+    return sum(map(mul, factors, exponents), ())
+
+
 def _verify(kind: str, x, y, lhs: QueueWord, rhs: QueueWord) -> WitnessReport:
     if not equivalent(lhs, rhs):
         raise VerificationFailedError(
@@ -151,8 +172,8 @@ def p2p3_witness(u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:
     x_v, x_w = _p2p3_exponents(a_v, a_w, b_v, b_w)
     reads = len(project_neg(v)) * x_v + len(project_neg(w)) * x_w
     x_u = -(-reads // len(u))
-    lhs = u * x_u + v * x_v + u + w * x_w
-    rhs = u * x_u + w * x_w + u + v * x_v
+    lhs = _power_product((u, v, u, w), (x_u, x_v, 1, x_w))
+    rhs = _power_product((u, w, u, v), (x_u, x_w, 1, x_v))
     report = _verify("p2p3", (x_u, x_v, x_w), (x_u, x_v, x_w), lhs, rhs)
     if x_v + x_w == 0:
         raise InternalError("trivial exponents for v and w")
@@ -221,8 +242,8 @@ def nonconjugated_witness(
     n = _long_enough_shift(a, b, x0, y0, len(p), len(q))
     xs = tuple(e + n for e in x0)
     ys = tuple(e + n for e in y0)
-    lhs = u * xs[0] + v * xs[1] + w * xs[2]
-    rhs = u * ys[0] + v * ys[1] + w * ys[2]
+    lhs = _power_product((u, v, w), xs)
+    rhs = _power_product((u, v, w), ys)
     report = _verify("nonconjugated", xs, ys, lhs, rhs)
     if xs == ys:
         raise InternalError("exponent vectors collapsed")
@@ -385,8 +406,8 @@ def conjugated_witness(
     if mixed_exponent(dec, rprof, x) != mixed_exponent(dec, rprof, y):
         raise InternalError("center exponents of the two sides disagree")
 
-    lhs = rwords[0] * x[0] + rwords[1] * x[1] + rwords[2] * x[2]
-    rhs = rwords[0] * y[0] + rwords[1] * y[1] + rwords[2] * y[2]
+    lhs = _power_product(rwords, x)
+    rhs = _power_product(rwords, y)
     report = _verify(f"conjugated:{name}", x, y, lhs, rhs)
     if x == y:
         raise InternalError("exponent vectors collapsed")
@@ -423,8 +444,8 @@ def p4_witness(t: QueueWord, u: QueueWord, v: QueueWord, w: QueueWord) -> Witnes
     )
     x_u1 = -(-reads // len(u))
     x = (a_u, x_u1, a_t, b_w, b_v)
-    lhs = u * x_u1 + v * b_w + w + t * a_u + w * b_v + u * a_t
-    rhs = u * x_u1 + w + u * a_t + w * b_v + t * a_u + v * b_w
+    lhs = _power_product((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t))
+    rhs = _power_product((u, w, u, w, t, v), (x_u1, 1, a_t, b_v, a_u, b_w))
     report = _verify("p4", x, None, lhs, rhs)
     if a_u == 0 or b_v == 0:
         raise InternalError("trivial exponents for t and w")

@@ -18,7 +18,6 @@ from .errors import (
     EmptyWordError,
     InternalError,
     NotPrimitiveError,
-    PreconditionError,
 )
 
 Letter = str
@@ -177,54 +176,3 @@ def conjugacy_decomposition(p: Word, q: Word) -> ConjugacyDecomposition | None:
             return ConjugacyDecomposition(p[:i], p[i:])
     return None
 
-
-def sandwich_form(dec: ConjugacyDecomposition, y: Word) -> int | None:
-    """Exponent k with y = g q^k = p^k g, for y caught between powers of q and p.
-
-    For p = gh and q = hg, a word y with |y| >= |q| that is a suffix of some
-    q^i and a prefix of some p^j necessarily has the sandwich shape above
-    with k = |y| // |q|.  Returns that k, or None when y is not such a word.
-    Raises PreconditionError when |y| < |q|.
-    """
-    p, q = dec.p, dec.q
-    if len(y) < len(q):
-        raise PreconditionError(f"need |y| >= |q| = {len(q)}, got {len(y)}")
-    reps = -(-len(y) // len(q))
-    if y != (q * reps)[len(q) * reps - len(y):]:
-        return None
-    if y != (p * reps)[: len(y)]:
-        return None
-    k = len(y) // len(q)
-    if y != dec.g + q * k or y != p * k + dec.g:
-        raise InternalError("sandwich identity failed for a qualifying word")
-    return k
-
-
-def overlap_gq(
-    dec: ConjugacyDecomposition,
-    p_suffix: Word,
-    q_prefix: Word,
-    i: int,
-    j: int,
-) -> Word:
-    """overlap(p_suffix + g + q^i, p^j + g + q_prefix) in closed form.
-
-    p_suffix must be a proper suffix of p and q_prefix a proper prefix of q;
-    i and j are nonnegative repetition counts.  For min(i, j) >= 1 the
-    overlap is exactly g q^min(i, j): it contains g q^min as a common
-    suffix/prefix, and being at least |q| long it has the sandwich shape,
-    whose length is pinned by |p_suffix| < |p|.  For min(i, j) = 0 that
-    argument breaks down (the overlap can be longer than g but shorter
-    than |q|, e.g. p = q = aba, p_suffix = ba against p g: overlap a with
-    g empty), so the overlap is computed directly.
-    """
-    p, q = dec.p, dec.q
-    if i < 0 or j < 0:
-        raise PreconditionError("exponents must be nonnegative")
-    if len(p_suffix) >= len(p) or p[len(p) - len(p_suffix):] != p_suffix:
-        raise PreconditionError(f"{p_suffix!r} is not a proper suffix of {p!r}")
-    if len(q_prefix) >= len(q) or q[: len(q_prefix)] != q_prefix:
-        raise PreconditionError(f"{q_prefix!r} is not a proper prefix of {q!r}")
-    if min(i, j) == 0:
-        return overlap(p_suffix + dec.g + q * i, p * j + dec.g + q_prefix)
-    return dec.g + q * min(i, j)

@@ -20,6 +20,14 @@ independent.  The brute-force oracles come last: the normal form by
 exhaustive rewriting, and whole equivalence classes by breadth-first
 closure under the rewrite rules or under swaps of independent letters.  Next to them, stated through the library's normal
 form, are mu (the center alone) and the block-shift identities.
+
+Between the exponent oracles and the brute-force ones sits reference code
+that nothing in the library calls, kept here as it was written there: the
+write and read action sequences of a plain word, the parser of printed
+normal forms, the sandwich form and the closed-form overlap for conjugate
+roots p = gh, q = hg (the latter through the library's overlap), clique
+projections, the decoder of binary-encoded indices, and is_p4_free, the
+brute-force search for an induced path on four letters.
 """
 
 import itertools
@@ -31,15 +39,16 @@ from quemon import (
     DEFAULT_ALPHABET,
     NF_IDENTITY,
     CapExceededError,
+    InternalError,
+    ParseError,
     PreconditionError,
     ProductWord,
     QueueNormalForm,
     RecipeMismatchError,
-    clique_projection,
     equivalent,
     normal_form,
-    read_actions,
-    write_actions,
+    overlap,
+    parse_word,
 )
 
 
@@ -350,6 +359,125 @@ def raise_until_dominant(profiles, x0, y0, coord, cap=1_000_000):
         if all(r[coord] == min(r) for r in raised):
             return k
     raise CapExceededError("row-domination bound reached")
+
+
+def write_actions(w):
+    """The action sequence writing the letters of w in order."""
+    return tuple(w)
+
+
+def read_actions(w):
+    """The action sequence reading the letters of w in order."""
+    # tuple([...]) allocates the tuple at its final size; tuple() over a
+    # generator grows and then shrinks it, which in hot loops strands
+    # memory in the interpreter's per-size tuple free lists.
+    return tuple(["~" + x for x in w])
+
+
+def parse_normal_form(text, alphabet=None):
+    if not (text.startswith("<") and text.endswith(">")):
+        raise ParseError(f"normal form must look like <u1|u2|u3>, got {text!r}")
+    parts = text[1:-1].split("|")
+    if len(parts) != 3:
+        raise ParseError(f"normal form must have three components, got {text!r}")
+    u1, u2, u3 = (parse_word(p, alphabet) for p in parts)
+    return QueueNormalForm(u1, u2, u3)
+
+
+def sandwich_form(dec, y):
+    """Exponent k with y = g q^k = p^k g, for y caught between powers of q and p.
+
+    For p = gh and q = hg, a word y with |y| >= |q| that is a suffix of some
+    q^i and a prefix of some p^j necessarily has the sandwich shape above
+    with k = |y| // |q|.  Returns that k, or None when y is not such a word.
+    Raises PreconditionError when |y| < |q|.
+    """
+    p, q = dec.p, dec.q
+    if len(y) < len(q):
+        raise PreconditionError(f"need |y| >= |q| = {len(q)}, got {len(y)}")
+    reps = -(-len(y) // len(q))
+    if y != (q * reps)[len(q) * reps - len(y):]:
+        return None
+    if y != (p * reps)[: len(y)]:
+        return None
+    k = len(y) // len(q)
+    if y != dec.g + q * k or y != p * k + dec.g:
+        raise InternalError("sandwich identity failed for a qualifying word")
+    return k
+
+
+def overlap_gq(dec, p_suffix, q_prefix, i, j):
+    """overlap(p_suffix + g + q^i, p^j + g + q_prefix) in closed form.
+
+    p_suffix must be a proper suffix of p and q_prefix a proper prefix of q;
+    i and j are nonnegative repetition counts.  For min(i, j) >= 1 the
+    overlap is exactly g q^min(i, j): it contains g q^min as a common
+    suffix/prefix, and being at least |q| long it has the sandwich shape,
+    whose length is pinned by |p_suffix| < |p|.  For min(i, j) = 0 that
+    argument breaks down (the overlap can be longer than g but shorter
+    than |q|, e.g. p = q = aba, p_suffix = ba against p g: overlap a with
+    g empty), so the overlap is computed directly.
+    """
+    p, q = dec.p, dec.q
+    if i < 0 or j < 0:
+        raise PreconditionError("exponents must be nonnegative")
+    if len(p_suffix) >= len(p) or p[len(p) - len(p_suffix):] != p_suffix:
+        raise PreconditionError(f"{p_suffix!r} is not a proper suffix of {p!r}")
+    if len(q_prefix) >= len(q) or q[: len(q_prefix)] != q_prefix:
+        raise PreconditionError(f"{q_prefix!r} is not a proper prefix of {q!r}")
+    if min(i, j) == 0:
+        return overlap(p_suffix + dec.g + q * i, p * j + dec.g + q_prefix)
+    return dec.g + q * min(i, j)
+
+
+def clique_projection(u, letters):
+    """Erase every letter outside the given set.
+
+    When the kept letters are pairwise dependent the projection is a word
+    whose value is invariant across u's class.
+    """
+    keep = set(letters)
+    return tuple(x for x in u.word if x in keep)
+
+
+def binary_decode(w, letters=("a", "b")):
+    """Recover the index sequence from a binary-encoded word."""
+    zero, one = letters
+    out = []
+    run = 0
+    for x in w:
+        if x == zero:
+            run += 1
+        elif x == one:
+            out.append(run)
+            run = 0
+        else:
+            raise ParseError(f"unexpected letter {x!r} in encoded word")
+    if run:
+        raise ParseError("encoded word ends inside a block of index letters")
+    return tuple(out)
+
+
+def is_p4_free(g):
+    """None when g has no induced path on four vertices, else such a path.
+
+    The witness (a, b, c, d) carries edges ab, bc, cd and no other edges
+    among the four vertices.
+    """
+    from itertools import combinations, permutations
+
+    for quad in combinations(g.letters, 4):
+        for a, b, c, d in permutations(quad):
+            if (
+                g.independent(a, b)
+                and g.independent(b, c)
+                and g.independent(c, d)
+                and not g.independent(a, c)
+                and not g.independent(a, d)
+                and not g.independent(b, d)
+            ):
+                return (a, b, c, d)
+    return None
 
 
 def mu(w):

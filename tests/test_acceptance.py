@@ -32,11 +32,9 @@ from quemon import (
     normal_form,
     NF_IDENTITY,
     overlap,
-    overlap_gq,
     p2p3_witness,
     p4_witness,
     power_mu,
-    sandwich_form,
     verify_embedding_bounded,
 )
 
@@ -46,7 +44,14 @@ from batteries import (
     P2P3_BATTERY,
     P4_BATTERY,
 )
-from oracles import bfs_class_oracle, bipartite_embedding, generalized_shift, rewrite_nf_oracle
+from oracles import (
+    bfs_class_oracle,
+    bipartite_embedding,
+    generalized_shift,
+    overlap_gq,
+    rewrite_nf_oracle,
+    sandwich_form,
+)
 
 ACTIONS = ("a", "b", "~a", "~b")
 AB = ("a", "b")

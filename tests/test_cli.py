@@ -1,15 +1,21 @@
 """Command-line interface: output formats, JSON payloads, exit codes."""
 
+import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
 
-from quemon import parse_normal_form, parse_queue_word
+import quemon
+from quemon import parse_queue_word
 from quemon.cli import _distinguishing_queue, main
 
-from oracles import list_distinguishing_queue
+from oracles import list_distinguishing_queue, parse_normal_form
 
 
 def run(capsys, *argv):
@@ -342,6 +348,52 @@ def test_internal_error_exits_5(capsys, monkeypatch):
         "runtime error (InternalError): "
         "product center is not a suffix of the read projection\n"
     )
+
+
+def test_witness_over_the_size_cap_exits_5(capsys):
+    # by the closed forms each side would hold 10,141,301 actions
+    n = 1300
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witness", "conjugated",
+                         "aa~a", "a" + "~a" * n, "a" * n + "~a", "", "a")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (5, "")
+    assert err.startswith("runtime error (CapExceededError): ")
+    assert "10141301" in err and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """An in-memory stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "ab~a"],
+    ["nf", "--json", "ab~a"],
+    ["witness", "p2p3", "a", "~c", "~c~c"],
+], ids=["text", "json", "witness"])
+def test_failed_output_write_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == "cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("word", ["ab~a", "a" * 100_000], ids=["short", "long"])
+def test_closed_stdout_pipe_exits_1_with_one_line(word):
+    src = os.path.dirname(os.path.dirname(quemon.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quemon.cli", "nf", word],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_output_is_stable_across_runs(capsys, k3):

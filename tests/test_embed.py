@@ -23,7 +23,6 @@ from quemon import (
     ProductWord,
     RecipeMismatchError,
     TraceWord,
-    binary_decode,
     decide_embeddable,
     embed_to_two_free,
     letter_images,
@@ -32,7 +31,7 @@ from quemon import (
 )
 from quemon.embed import _words_with_keys
 
-from oracles import binary_encode, bipartite_embedding, dependence_stacks, eta_matching
+from oracles import binary_decode, binary_encode, bipartite_embedding, dependence_stacks, eta_matching
 
 PAIR = IndependenceAlphabet(("a", "b"), [("a", "b")])
 MATCHING = IndependenceAlphabet(

@@ -7,8 +7,10 @@ import importlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +108,10 @@ def test_star_import_dir_and_unknown_names():
     for oracle in ("mu", "rewrite_nf_oracle", "bfs_class_oracle",
                    "generalized_shift", "bfs_trace_class", "eta_matching",
                    "bipartite_embedding", "dependence_stacks", "binary_encode",
-                   "PRODUCT_IDENTITY"):
+                   "PRODUCT_IDENTITY", "overlap_gq", "sandwich_form",
+                   "clique_projection", "binary_decode", "write_actions",
+                   "read_actions", "parse_normal_form", "is_p4_free", "is_read",
+                   "connected_components", "is_complete_bipartite"):
         assert not hasattr(quemon, oracle), oracle
 
 
@@ -116,6 +121,57 @@ def test_submodules_resolve_as_attributes_after_a_bare_import():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out == "True\n"
+
+
+# -- what the package keeps ---------------------------------------------------
+
+SRC = Path(quemon.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _top_level_statements():
+    return [stmt for path in sorted(SRC.glob("*.py"))
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
+def _names_used(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_in_src_is_exported_or_used():
+    used = [(stmt, _names_used(stmt)) for stmt in _top_level_statements()]
+    unused = []
+    for stmt, _ in used:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = stmt.name
+        if name in quemon.__all__ or (name.startswith("__") and name.endswith("__")):
+            continue
+        if not any(name in names for other, names in used if other is not stmt):
+            unused.append(name)
+    assert unused == []
+
+
+def _readme_library_section():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Library\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def test_all_is_exactly_the_api_the_readme_documents():
+    section = _readme_library_section()
+    quoted = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    assert set(quemon.__all__) <= quoted, sorted(set(quemon.__all__) - quoted)
+    public = set()
+    for stmt in _top_level_statements():
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            public.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            public.update(t.id for t in targets if isinstance(t, ast.Name))
+    public = {name for name in public if not name.startswith("_")}
+    assert quoted & public <= set(quemon.__all__), sorted(quoted & public - set(quemon.__all__))
 
 
 # -- records -------------------------------------------------------------------

@@ -26,7 +26,6 @@ from quemon import (
     multiply,
     nf_power,
     normal_form,
-    parse_normal_form,
     parse_queue_word,
     parse_word,
     power_mu,
@@ -39,6 +38,7 @@ from oracles import (
     generalized_shift,
     iterated_nf_power,
     mu,
+    parse_normal_form,
     rewrite_nf_oracle,
 )
 

@@ -10,12 +10,11 @@ from quemon import (
     IndependenceAlphabet,
     PreconditionError,
     TraceWord,
-    clique_projection,
     lex_normal_form,
     trace_equivalent,
 )
 
-from oracles import bfs_trace_class
+from oracles import bfs_trace_class, clique_projection
 
 AB = IndependenceAlphabet(("a", "b"), [("a", "b")])
 AC = IndependenceAlphabet(("a", "b", "c"), [("a", "c")])

@@ -17,11 +17,11 @@ from quemon import (
     conjugacy_decomposition,
     is_primitive,
     overlap,
-    overlap_gq,
     power_exponent,
     primitive_root,
-    sandwich_form,
 )
+
+from oracles import overlap_gq, sandwich_form
 
 AB = ("a", "b")
 
