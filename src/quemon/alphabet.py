@@ -122,7 +122,7 @@ class IndependenceAlphabet:
         return hash((self.letters, self.edges))
 
     def __repr__(self) -> str:
-        pairs = ",".join(f"({a},{b})" for a, b in sorted(self.edges, key=lambda e: (self._rank[e[0]], self._rank[e[1]])))
+        pairs = ",".join(f"({a},{b})" for a, b in self.to_json()["independent"])
         return f"IndependenceAlphabet({''.join(self.letters)!r}, [{pairs}])"
 
     def to_json(self) -> dict:
@@ -163,31 +163,14 @@ class IndependenceAlphabet:
         return cls.loads(text)
 
 
-# -- graph structure ---------------------------------------------------------
-
-def connected_components(g: IndependenceAlphabet) -> list[tuple[Letter, ...]]:
-    """Components as tuples in declaration order, listed by their least letter."""
-    index: dict[Letter, int] = {}
-    out: list[list[Letter]] = []
-    for start in g.letters:
-        if start in index:
-            continue
-        index[start] = len(out)
-        out.append([])
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in g.neighbors(x):
-                if y not in index:
-                    index[y] = index[start]
-                    frontier.append(y)
-    for x in g.letters:
-        out[index[x]].append(x)
-    return [tuple(c) for c in out]
-
+# -- embeddability classification --------------------------------------------
 
 class OddCycle(NamedTuple):
-    """Closed walk of odd length; consecutive vertices are independent pairs."""
+    """Closed walk of odd length; consecutive vertices are independent pairs.
+
+    It starts at its least vertex by string order and goes on toward the
+    smaller, by string order, of that vertex's two neighbours on the cycle.
+    """
 
     vertices: tuple[Letter, ...]
 
@@ -197,84 +180,6 @@ class MissingPair(NamedTuple):
 
     pair: tuple[Letter, Letter]
 
-
-BipartiteWitness = Union[OddCycle, MissingPair]
-
-
-def is_complete_bipartite(
-    component: Sequence[Letter], g: IndependenceAlphabet
-) -> tuple[tuple[Letter, ...], tuple[Letter, ...]] | BipartiteWitness:
-    """Check one connected component for being complete bipartite.
-
-    Returns the two parts (smaller first, ties broken by the part holding
-    the least letter) or a witness: an OddCycle when the component is not
-    bipartite, otherwise a MissingPair that should be independent but is not.
-    The component must be a connected component of g containing an edge.
-    """
-    comp = tuple(component)
-    root = comp[0]
-    color = {root: 0}
-    parent: dict[Letter, Letter | None] = {root: None}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for y in g.neighbors(x):
-            if y not in color:
-                color[y] = 1 - color[x]
-                parent[y] = x
-                queue.append(y)
-            elif color[y] == color[x]:
-                return OddCycle(_cycle_through(x, y, parent))
-
-    part0 = tuple(x for x in comp if color[x] == 0)
-    part1 = tuple(x for x in comp if color[x] == 1)
-    # in a bipartite component a letter is independent of all of part1
-    # exactly when its degree is |part1|
-    for a in part0:
-        if g.degree(a) != len(part1):
-            b = next(b for b in part1 if not g.independent(a, b))
-            return MissingPair((a, b))
-    if len(part1) < len(part0):
-        return part1, part0
-    return part0, part1
-
-
-def _cycle_through(
-    x: Letter, y: Letter, parent: Mapping[Letter, Letter | None]
-) -> tuple[Letter, ...]:
-    """Odd cycle from two equally colored endpoints of an edge in a BFS tree."""
-
-    def ancestors(v: Letter) -> list[Letter]:
-        chain = [v]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])  # type: ignore[arg-type]
-        return chain
-
-    up_x, up_y = ancestors(x), ancestors(y)
-    common = set(up_x) & set(up_y)
-    trim_x = []
-    for v in up_x:
-        trim_x.append(v)
-        if v in common:
-            break
-    meet = trim_x[-1]
-    trim_y = []
-    for v in up_y:
-        if v == meet:
-            break
-        trim_y.append(v)
-    cycle = tuple(trim_x + list(reversed(trim_y)))
-    # canonical orientation: least vertex first, then the smaller neighbor
-    k = min(range(len(cycle)), key=lambda i: cycle[i])
-    cycle = cycle[k:] + cycle[:k]
-    if len(cycle) > 1 and cycle[-1] < cycle[1]:
-        cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
-    return cycle
-
-
-# -- embeddability classification --------------------------------------------
 
 Role = str  # 'a', 'b', or 'isolated'
 
@@ -306,7 +211,7 @@ class TwoNontrivialComponents(NamedTuple):
 
 
 class NotCompleteBipartite(NamedTuple):
-    witness: BipartiteWitness
+    witness: Union[OddCycle, MissingPair]
 
 
 class Embeddable(NamedTuple):
@@ -344,27 +249,69 @@ def decide_embeddable(g: IndependenceAlphabet) -> Classification:
             index += 1
         return Embeddable(MatchingRecipe(pairing))
 
-    nontrivial = [c for c in connected_components(g) if len(c) > 1]
-    if len(nontrivial) > 1:
+    # one breadth-first 2-colouring from the least letter of each component
+    # with an edge, neighbours in declaration order, keeping the first edge
+    # whose ends get the same colour
+    roots: list[Letter] = []
+    color: dict[Letter, int] = {}
+    parent: dict[Letter, Letter] = {}
+    clash: tuple[Letter, Letter] | None = None
+    for root in g.letters:
+        if root in color or not g.degree(root):
+            continue
+        roots.append(root)
+        color[root] = 0
+        queue = [root]
+        for x in queue:  # the loop reaches the letters appended below
+            cx = color[x]
+            for y in g.neighbors(x):
+                cy = color.get(y)
+                if cy is None:
+                    color[y] = 1 - cx
+                    parent[y] = x
+                    queue.append(y)
+                elif cy == cx and clash is None:
+                    clash = (x, y)
+
+    if len(roots) > 1:
         # the least letter x of degree >= 2 and its least partner, which
         # lie on a P3 or a triangle, and the least edge of the first other
-        # component: its least letter and that letter's least partner
+        # component: its root and the root's least partner
         x = next(x for x in g.letters if g.degree(x) >= 2)
-        home = next(c for c in nontrivial if x in c)
-        other = nontrivial[1] if home is nontrivial[0] else nontrivial[0]
-        edges = ((x, g.neighbors(x)[0]), (other[0], g.neighbors(other[0])[0]))
-        if other is nontrivial[0]:
-            edges = edges[::-1]
-        return NotEmbeddable(TwoNontrivialComponents(edges))
+        home = x
+        while home in parent:
+            home = parent[home]
+        other = roots[1] if home == roots[0] else roots[0]
+        edges = ((x, g.neighbors(x)[0]), (other, g.neighbors(other)[0]))
+        return NotEmbeddable(TwoNontrivialComponents(edges if home == roots[0] else edges[::-1]))
 
-    core = nontrivial[0]
-    verdict = is_complete_bipartite(core, g)
-    if isinstance(verdict, (OddCycle, MissingPair)):
-        return NotEmbeddable(NotCompleteBipartite(verdict))
-    part1, part2 = verdict
-    covered = set(part1) | set(part2)
-    isolated = tuple(x for x in g.letters if x not in covered)
-    return Embeddable(BipartiteRecipe(part1, part2, isolated))
+    if clash is not None:
+        # equal colours put both ends at one depth, so climbing from both in
+        # step meets at their lowest common ancestor
+        left, right = [clash[0]], [clash[1]]
+        while left[-1] != right[-1]:
+            left.append(parent[left[-1]])
+            right.append(parent[right[-1]])
+        cycle = left + right[-2::-1]
+        k = cycle.index(min(cycle))
+        cycle = cycle[k:] + cycle[:k]
+        if cycle[-1] < cycle[1]:
+            cycle[1:] = cycle[:0:-1]
+        return NotEmbeddable(NotCompleteBipartite(OddCycle(tuple(cycle))))
+
+    parts: tuple[list[Letter], list[Letter], list[Letter]] = ([], [], [])
+    for x in g.letters:
+        parts[color.get(x, 2)].append(x)
+    part0, part1, isolated = map(tuple, parts)
+    # in a bipartite component a letter is independent of all of part1
+    # exactly when its degree is |part1|
+    for a in part0:
+        if g.degree(a) != len(part1):
+            b = next(b for b in part1 if not g.independent(a, b))
+            return NotEmbeddable(NotCompleteBipartite(MissingPair((a, b))))
+    if len(part1) < len(part0):
+        part0, part1 = part1, part0
+    return Embeddable(BipartiteRecipe(part0, part1, isolated))
 
 
 # -- sign pattern of letter images in the queue monoid -----------------------

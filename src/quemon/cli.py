@@ -44,6 +44,7 @@ from .queue import (
     normal_form,
     parse_queue_word,
     parse_word,
+    project_neg,
 )
 
 # kind -> (argument names, name of the builder in quemon.witness)
@@ -93,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="bound for the distinguishing-queue search (default 8)",
+        help="bound for the distinguishing-queue search (default 8); it stops "
+        "earlier, at M + 1, where M is the larger number of reads in the two words",
     )
     p.add_argument("word1")
     p.add_argument("word2")
@@ -231,12 +233,25 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     alphabet that neither uses: such a letter blocks every read, so it
     separates a word that reads what it wrote (a~a) from the empty word.
     Candidates are generated one at a time, so memory stays bounded
-    whatever max_len is; the time is up to |letters|^max_len actions.
+    whatever max_len is; the time is up to |letters|^(M+1) actions.
+
+    The search stops at length min(max_len, M + 1), M = max(|neg u|, |neg v|):
+    a separating queue, if there is one, has length <= M + 1.  Proof: with
+    normal form <r|c|w>, u maps q to (q.c)[|neg u|:].w when q.c starts with
+    neg u = rc, and to BOTTOM otherwise.  So a queue of length >= M is in
+    the domain of u exactly when it lies in the cone neg u.A*, and u maps
+    neg u.z to z.pos u.  Let q, longer than M, separate u and v.  If only u
+    is defined on q, the prefix of q of length M separates them.  If both
+    are, say neg v = neg u.y, then u maps neg v.z to y.z.pos u and v maps it
+    to z.pos v.  Unless y.pos u = pos v, the queue neg v separates them.
+    Otherwise neg v.z separates them exactly when z and y do not commute;
+    then some letter x of z does not commute with y, and neg v.x separates.
     """
     used = {action_letter(a) for a in u} | {action_letter(a) for a in v}
     extra = min((x for x in alphabet if x not in used), default=None)
     letters = sorted(used if extra is None else used | {extra})
-    for n in range(max_len + 1):
+    bound = min(max_len, max(len(project_neg(u)), len(project_neg(v))) + 1)
+    for n in range(bound + 1):
         for q in itertools.product(letters, repeat=n):
             if action(q, u) != action(q, v):
                 return q

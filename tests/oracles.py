@@ -26,8 +26,11 @@ that nothing in the library calls, kept here as it was written there: the
 write and read action sequences of a plain word, the parser of printed
 normal forms, the sandwich form and the closed-form overlap for conjugate
 roots p = gh, q = hg (the latter through the library's overlap), clique
-projections, the decoder of binary-encoded indices, and is_p4_free, the
-brute-force search for an induced path on four letters.
+projections, the decoder of binary-encoded indices, is_p4_free, the
+brute-force search for an induced path on four letters, and the two-pass
+embeddability decision: the components by a depth-first search over every
+letter, a second breadth-first search of the core, and the odd cycle from
+ancestor chains.
 """
 
 import itertools
@@ -38,13 +41,21 @@ from quemon import (
     BOTTOM,
     DEFAULT_ALPHABET,
     NF_IDENTITY,
+    BipartiteRecipe,
     CapExceededError,
+    Embeddable,
     InternalError,
+    MatchingRecipe,
+    MissingPair,
+    NotCompleteBipartite,
+    NotEmbeddable,
+    OddCycle,
     ParseError,
     PreconditionError,
     ProductWord,
     QueueNormalForm,
     RecipeMismatchError,
+    TwoNontrivialComponents,
     equivalent,
     normal_form,
     overlap,
@@ -478,6 +489,137 @@ def is_p4_free(g):
             ):
                 return (a, b, c, d)
     return None
+
+
+def connected_components(g):
+    """Components as tuples in declaration order, listed by their least letter."""
+    index = {}
+    out = []
+    for start in g.letters:
+        if start in index:
+            continue
+        index[start] = len(out)
+        out.append([])
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for y in g.neighbors(x):
+                if y not in index:
+                    index[y] = index[start]
+                    frontier.append(y)
+    for x in g.letters:
+        out[index[x]].append(x)
+    return [tuple(c) for c in out]
+
+
+def is_complete_bipartite(component, g):
+    """Check one connected component for being complete bipartite.
+
+    Returns the two parts (smaller first, ties broken by the part holding
+    the least letter) or a witness: an OddCycle when the component is not
+    bipartite, otherwise a MissingPair that should be independent but is not.
+    The component must be a connected component of g containing an edge.
+    """
+    comp = tuple(component)
+    root = comp[0]
+    color = {root: 0}
+    parent = {root: None}
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for y in g.neighbors(x):
+            if y not in color:
+                color[y] = 1 - color[x]
+                parent[y] = x
+                queue.append(y)
+            elif color[y] == color[x]:
+                return OddCycle(_cycle_through(x, y, parent))
+
+    part0 = tuple(x for x in comp if color[x] == 0)
+    part1 = tuple(x for x in comp if color[x] == 1)
+    # in a bipartite component a letter is independent of all of part1
+    # exactly when its degree is |part1|
+    for a in part0:
+        if g.degree(a) != len(part1):
+            b = next(b for b in part1 if not g.independent(a, b))
+            return MissingPair((a, b))
+    if len(part1) < len(part0):
+        return part1, part0
+    return part0, part1
+
+
+def _cycle_through(x, y, parent):
+    """Odd cycle from two equally colored endpoints of an edge in a BFS tree."""
+
+    def ancestors(v):
+        chain = [v]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        return chain
+
+    up_x, up_y = ancestors(x), ancestors(y)
+    common = set(up_x) & set(up_y)
+    trim_x = []
+    for v in up_x:
+        trim_x.append(v)
+        if v in common:
+            break
+    meet = trim_x[-1]
+    trim_y = []
+    for v in up_y:
+        if v == meet:
+            break
+        trim_y.append(v)
+    cycle = tuple(trim_x + list(reversed(trim_y)))
+    # canonical orientation: least vertex first, then the smaller neighbor
+    k = min(range(len(cycle)), key=lambda i: cycle[i])
+    cycle = cycle[k:] + cycle[:k]
+    if len(cycle) > 1 and cycle[-1] < cycle[1]:
+        cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
+    return cycle
+
+
+def two_pass_decide_embeddable(g):
+    """decide_embeddable by the components first, then a second search of
+    the one nontrivial component for being complete bipartite."""
+    if all(g.degree(x) <= 1 for x in g.letters):
+        pairing = {}
+        index = 0
+        for x in g.letters:
+            if x in pairing:
+                continue
+            nbrs = g.neighbors(x)
+            if nbrs:
+                pairing[x] = (index, "a")
+                pairing[nbrs[0]] = (index, "b")
+            else:
+                pairing[x] = (index, "isolated")
+            index += 1
+        return Embeddable(MatchingRecipe(pairing))
+
+    nontrivial = [c for c in connected_components(g) if len(c) > 1]
+    if len(nontrivial) > 1:
+        # the least letter x of degree >= 2 and its least partner, which
+        # lie on a P3 or a triangle, and the least edge of the first other
+        # component: its least letter and that letter's least partner
+        x = next(x for x in g.letters if g.degree(x) >= 2)
+        home = next(c for c in nontrivial if x in c)
+        other = nontrivial[1] if home is nontrivial[0] else nontrivial[0]
+        edges = ((x, g.neighbors(x)[0]), (other[0], g.neighbors(other[0])[0]))
+        if other is nontrivial[0]:
+            edges = edges[::-1]
+        return NotEmbeddable(TwoNontrivialComponents(edges))
+
+    core = nontrivial[0]
+    verdict = is_complete_bipartite(core, g)
+    if isinstance(verdict, (OddCycle, MissingPair)):
+        return NotEmbeddable(NotCompleteBipartite(verdict))
+    part1, part2 = verdict
+    covered = set(part1) | set(part2)
+    isolated = tuple(x for x in g.letters if x not in covered)
+    return Embeddable(BipartiteRecipe(part1, part2, isolated))
 
 
 def mu(w):

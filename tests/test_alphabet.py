@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +28,13 @@ from quemon import (
     parse_queue_word,
     parse_word,
 )
-from quemon.alphabet import connected_components, is_complete_bipartite
-
-from oracles import is_p4_free, parse_normal_form
+from oracles import (
+    connected_components,
+    is_complete_bipartite,
+    is_p4_free,
+    parse_normal_form,
+    two_pass_decide_embeddable,
+)
 
 K3 = IndependenceAlphabet(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")])
 P3 = IndependenceAlphabet(("a", "b", "c"), [("a", "b"), ("b", "c")])
@@ -304,6 +309,38 @@ def test_two_reported_components_induce_a_non_embeddable_alphabet_on_unions(shap
         edges += [(names[i], names[j]) for i, j in pairs]
     rng.shuffle(letters)
     _check_two_components(IndependenceAlphabet(letters, edges))
+
+
+def _assert_same_as_two_pass(g):
+    verdict, reference = decide_embeddable(g), two_pass_decide_embeddable(g)
+    assert verdict == reference and repr(verdict) == repr(reference), g
+
+
+def test_decision_equals_the_two_pass_reference_up_to_6_letters_in_both_orders():
+    names = "abcdef"
+    for n in range(7):
+        pairs = list(itertools.combinations(names[:n], 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            _assert_same_as_two_pass(IndependenceAlphabet(names[:n], edges))
+            _assert_same_as_two_pass(IndependenceAlphabet(names[:n][::-1], edges))
+
+
+def test_decision_equals_the_two_pass_reference_on_random_graphs():
+    rng = random.Random(9)
+    for _ in range(2000):
+        letters = [f"x{i}" for i in range(rng.randint(1, 40))]
+        rng.shuffle(letters)
+        density = rng.choice((0.02, 0.05, 0.1, 0.3, 0.6, 0.9))
+        edges = [e for e in itertools.combinations(letters, 2) if rng.random() < density]
+        if len(letters) >= 2 and rng.random() < 0.3:
+            # a planted complete bipartite core, sometimes missing one pair
+            core = rng.sample(letters, rng.randint(2, len(letters)))
+            cut = rng.randint(1, len(core) - 1)
+            edges = [(a, b) for a in core[:cut] for b in core[cut:]]
+            if rng.random() < 0.5:
+                edges.pop(rng.randrange(len(edges)))
+        _assert_same_as_two_pass(IndependenceAlphabet(letters, edges))
 
 
 def test_empty_and_free_alphabets_embed():

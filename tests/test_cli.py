@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import quemon
-from quemon import parse_queue_word
+from quemon import parse_queue_word, project_neg
 from quemon.cli import _distinguishing_queue, main
 
 from oracles import list_distinguishing_queue, parse_normal_form
@@ -126,6 +126,31 @@ def test_distinguishing_queue_matches_list_search_up_to_4_actions():
             assert _distinguishing_queue(u, v, max_len) == list_distinguishing_queue(u, v, max_len), (u, v, max_len)
 
 
+def test_distinguishing_queue_stops_at_m_plus_1_with_the_same_answer():
+    # M is the larger number of reads; the list search goes on to M + 3
+    def check(u, v, alphabet):
+        max_len = max(len(project_neg(u)), len(project_neg(v))) + 3
+        assert (_distinguishing_queue(u, v, max_len, alphabet)
+                == list_distinguishing_queue(u, v, max_len, alphabet)), (u, v)
+
+    words = [w for k in range(4) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
+    for u, v in itertools.combinations_with_replacement(words, 2):
+        check(u, v, quemon.DEFAULT_ALPHABET)
+    # over the one letter a, every queue commutes with every word, so the
+    # search may find nothing up to any bound
+    words = [w for k in range(6) for w in itertools.product(("a", "~a"), repeat=k)]
+    for u, v in itertools.combinations_with_replacement(words, 2):
+        check(u, v, ("a",))
+
+
+def test_eq_over_one_letter_ends_at_a_huge_bound(capsys, tmp_path):
+    path = alphabet_file(tmp_path, "a.json", ["a"], [])
+    start = time.perf_counter()
+    result = run(capsys, "eq", "--alphabet", path, "--max-len", "1000000000", "a~a", "")
+    assert time.perf_counter() - start < 2
+    assert result == (0, "DISTINGUISHED: no separating queue up to length 1000000000\n", "")
+
+
 def test_distinguishing_queue_memory_stays_bounded():
     # no queue of length <= 5 separates these, so the search sees all 19,608
     # candidates over a-f and the unused g; holding a level of them as a
@@ -187,6 +212,21 @@ def test_decide_odd_cycle(capsys, k3):
         "embeddable": False,
         "reason": {"kind": "odd-cycle", "vertices": ["a", "b", "c"]},
     }
+
+
+def test_decide_odd_cycle_orientation_follows_string_order_not_rank(capsys, tmp_path):
+    # declared in reverse, rank order would start at c and go toward b
+    path = alphabet_file(tmp_path, "k3r.json", ["c", "b", "a"],
+                         [["c", "b"], ["c", "a"], ["b", "a"]])
+    assert run(capsys, "decide", path) == (0, "NOT EMBEDDABLE: odd cycle a b c\n", "")
+    code, out, _ = run(capsys, "decide", "--json", path)
+    assert json.loads(out) == {
+        "embeddable": False,
+        "reason": {"kind": "odd-cycle", "vertices": ["a", "b", "c"]},
+    }
+    path = alphabet_file(tmp_path, "c5r.json", ["e", "d", "c", "b", "a"],
+                         [["a", "c"], ["c", "e"], ["e", "b"], ["b", "d"], ["d", "a"]])
+    assert run(capsys, "decide", path) == (0, "NOT EMBEDDABLE: odd cycle a c e b d\n", "")
 
 
 def test_decide_missing_pair(capsys, tmp_path):
