@@ -4,24 +4,28 @@ A trace word is a plain word together with the independence alphabet it
 lives over.  Two words are identified when one can be turned into the
 other by repeatedly swapping adjacent independent letters.
 
-Every computation here goes through one canonical form, the dependence
-stacks (Diekert & Rozenberg, The Book of Traces, 1995, ch. 2).  Stack y
-is the word projected onto D(y), the letters dependent on y (y included),
-with y kept and every other letter replaced by an unlabelled marker.  A
-swap of adjacent independent letters never changes a stack, and the
-stacks determine the trace (the projection lemma), so two words are
-equivalent exactly when their stacks are equal.  Building them costs one
-push per position and dependent letter, O(n * deg).
+Every computation here goes through one canonical form, the occurrence
+offsets.  Position i holding x has offset i - sum over z in I(x) of
+#z(before i), the number of letters of D(x) before it, at one step per
+letter independent of x.  x's offsets are its positions in its dependence
+stack, the projection onto D(x) with the other letters as unlabelled
+markers (Diekert & Rozenberg, The Book of Traces, 1995, ch. 2).  A swap of
+independent letters changes no offset, and the stacks determine the trace
+(the projection lemma), so two words are equivalent exactly when every
+letter has the same offsets in both.
 
-The lexicographically least member of a class is its normal form.  A
-letter can come first exactly when it tops its own stack; the least such
-letter x is emitted and one entry popped from each stack of D(x), which
-leaves the stacks of the rest of the word.
+The lexicographically least member of a class is its normal form.  The
+next x can come first exactly when its target, its offset plus the emitted
+letters independent of x, equals the number G of letters emitted so far.
+The target never drops below G and rises only when a letter of I(x) is
+emitted.  A letter waits in the bucket of its target until G reaches it,
+and moves on to a later bucket then if its target has risen meanwhile.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from collections import defaultdict
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .alphabet import IndependenceAlphabet
@@ -39,9 +43,10 @@ class TraceWord:
     __slots__ = ("alphabet", "word")
 
     def __init__(self, alphabet: IndependenceAlphabet, word: Word) -> None:
-        for x in word:
-            if x not in alphabet:
-                raise PreconditionError(f"letter {x!r} not in the alphabet")
+        word = tuple(word)
+        if set(word).difference(alphabet._rank):
+            x = next(x for x in word if x not in alphabet)
+            raise PreconditionError(f"letter {x!r} not in the alphabet")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "word", word)
 
@@ -74,61 +79,76 @@ class TraceWord:
         return len(self.word)
 
 
-def _stacks(u: TraceWord) -> list[list[bool]]:
-    """Dependence stacks of u, indexed by rank, with the first position on top.
-
-    An entry is True where the stack's own letter stands and False for a
-    marker.
-    """
-    g = u.alphabet
-    stacks: list[list[bool]] = [[] for _ in g.letters]
-    dep = {x: (g.rank(x), g.dependent_ranks(x)) for x in set(u.word)}
-    for x in reversed(u.word):
-        i, ranks = dep[x]
-        for j in ranks:
-            stacks[j].append(j == i)
-    return stacks
+def _offsets(u: TraceWord) -> dict[Letter, list[int]]:
+    """The offsets of each letter of u, in increasing order."""
+    offs: dict[Letter, list[int]] = {x: [] for x in set(u.word)}
+    # before position i, len(offs[z]) is #z(before i)
+    step = {x: (o.append, [offs[z] for z in u.alphabet.neighbors(x) if z in offs])
+            for x, o in offs.items()}
+    for i, x in enumerate(u.word):
+        push, independent = step[x]
+        push(i - sum(map(len, independent)))
+    return offs
 
 
 def lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> TraceWord:
     """Least representative of u's class in the length-lexicographic order.
 
     The order on letters defaults to declaration order.  The letters that
-    may come first are those on top of their own dependence stack; a heap
-    keyed by the order yields the least, whose pop from the stacks of its
-    dependent letters may expose new ones.  O(n * (deg + log |letters|)).
+    may come first sit in a heap keyed by the order, the others in buckets
+    keyed by a target.  O(n * (d + 1) + n log |letters|), where d is
+    the largest independence degree among the letters of u, plus
+    O(|letters|) to check a given order, which must name every letter once.
     """
     g = u.alphabet
+    offs = _offsets(u)
     if order is None:
-        key = list(range(len(g.letters)))
+        letters = sorted(offs, key=g.rank)
     else:
-        rank = {x: i for i, x in enumerate(order)}
-        for x in g.letters:
-            if x not in rank:
-                raise PreconditionError(f"order is missing letter {x!r}")
-        key = [rank[x] for x in g.letters]
-    stacks = _stacks(u)
-    heap = [(key[i], i) for i, s in enumerate(stacks) if s and s[-1]]
-    heapify(heap)
+        seen: set[Letter] = set()
+        for x in order:
+            if x in seen or x not in g:
+                why = "repeats" if x in seen else "names unknown"
+                raise PreconditionError(f"order {why} letter {x!r}")
+            seen.add(x)
+        if len(seen) < len(g.letters):
+            x = next(x for x in g.letters if x not in seen)
+            raise PreconditionError(f"order is missing letter {x!r}")
+        letters = [x for x in order if x in offs]
+    # from here on a letter is its position in `letters`
+    pos = {x: k for k, x in enumerate(letters)}
+    occ = [offs[x][::-1] for x in letters]
+    independent = [[pos[z] for z in g.neighbors(x) if z in pos] for x in letters]
+    target = [o[-1] for o in occ]
+    waiting: defaultdict[int, list[int]] = defaultdict(list)
+    for k, t in enumerate(target):
+        waiting[t].append(k)
+    heap = waiting.pop(0, [])
     out: list[Letter] = []
+    done = 0
     while heap:
-        x = g.letters[heappop(heap)[1]]
-        out.append(x)
-        # no letter of D(x) other than x can be on the heap: it would have
-        # to precede x's first occurrence, and then x could not come first
-        for j in g.dependent_ranks(x):
-            s = stacks[j]
-            s.pop()
-            if s and s[-1]:
-                heappush(heap, (key[j], j))
-    return TraceWord(g, tuple(out))
+        k = heappop(heap)
+        out.append(letters[k])
+        done += 1
+        for z in independent[k]:
+            target[z] += 1
+        o = occ[k]
+        last = o.pop()
+        if o:
+            t = target[k] = done - 1 + o[-1] - last
+            waiting[t].append(k)
+        for z in waiting.pop(done, ()):
+            if target[z] == done:
+                heappush(heap, z)
+            else:
+                waiting[target[z]].append(z)
+    return TraceWord(g, out)
 
 
 def trace_equivalent(u: TraceWord, v: TraceWord) -> bool:
-    """Whether u and v denote the same trace: equal dependence stacks."""
+    """Whether u and v denote the same trace: equal occurrence offsets."""
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError("cannot compare over different alphabets")
     if len(u.word) != len(v.word):
         return False
-    return _stacks(u) == _stacks(v)
-
+    return _offsets(u) == _offsets(v)

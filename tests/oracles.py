@@ -7,7 +7,9 @@ length, the normal form as a fold of the
 product over single actions, the power as an n-fold product, the action by
 slicing the queue, the conjugacy split by trying every rotation, the trace
 normal form by greedy rescans, trace equivalence by projections onto
-every dependent pair, the dependence stacks by one projection per letter,
+every dependent pair, the dependence stacks by one projection per letter
+and by one push per position and dependent letter, with the normal form
+that pops them through a heap and the equivalence that compares them,
 the separating-queue search of `quemon eq` with every level of candidates
 held in a list, and the two embeddings built word by word, the bipartite
 one behind a recipe check that tries every pair, with the encoding of
@@ -15,10 +17,10 @@ their indexed letters into {a, b}, and the witness exponents by Gaussian
 elimination over the rationals and by enlarging one step at a time up to a
 cap.  They share no code with
 the kernels they check: the product here is rebuilt on the scanning
-overlap, and the trace oracles ask the alphabet only which pairs are
-independent.  The brute-force oracles come last: the normal form by
-exhaustive rewriting, and whole equivalence classes by breadth-first
-closure under the rewrite rules or under swaps of independent letters.  Next to them, stated through the library's normal
+overlap, and the greedy and projection trace oracles ask the alphabet
+only which pairs are independent.  The brute-force oracles come last: the
+normal form by exhaustive rewriting, and whole equivalence classes by
+breadth-first closure under the rewrite rules or under swaps of independent letters.  Next to them, stated through the library's normal
 form, are mu (the center alone) and the block-shift identities.
 
 Between the exponent oracles and the brute-force ones sits reference code
@@ -36,10 +38,12 @@ ancestor chains.
 import itertools
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from quemon import (
     BOTTOM,
     DEFAULT_ALPHABET,
+    AlphabetMismatchError,
     NF_IDENTITY,
     BipartiteRecipe,
     CapExceededError,
@@ -55,6 +59,7 @@ from quemon import (
     ProductWord,
     QueueNormalForm,
     RecipeMismatchError,
+    TraceWord,
     TwoNontrivialComponents,
     equivalent,
     normal_form,
@@ -275,6 +280,65 @@ def projection_equivalent(g, u, v):
             if [x for x in u if x in keep] != [x for x in v if x in keep]:
                 return False
     return True
+
+
+def _stacks(u):
+    """Dependence stacks of u, indexed by rank, with the first position on top.
+
+    An entry is True where the stack's own letter stands and False for a
+    marker.
+    """
+    g = u.alphabet
+    stacks: list[list[bool]] = [[] for _ in g.letters]
+    dep = {x: (g.rank(x), g.dependent_ranks(x)) for x in set(u.word)}
+    for x in reversed(u.word):
+        i, ranks = dep[x]
+        for j in ranks:
+            stacks[j].append(j == i)
+    return stacks
+
+
+def stack_lex_normal_form(u, order=None):
+    """Least representative of u's class in the length-lexicographic order.
+
+    The order on letters defaults to declaration order.  The letters that
+    may come first are those on top of their own dependence stack; a heap
+    keyed by the order yields the least, whose pop from the stacks of its
+    dependent letters may expose new ones.  O(n * (deg + log |letters|)).
+    """
+    g = u.alphabet
+    if order is None:
+        key = list(range(len(g.letters)))
+    else:
+        rank = {x: i for i, x in enumerate(order)}
+        for x in g.letters:
+            if x not in rank:
+                raise PreconditionError(f"order is missing letter {x!r}")
+        key = [rank[x] for x in g.letters]
+    stacks = _stacks(u)
+    heap = [(key[i], i) for i, s in enumerate(stacks) if s and s[-1]]
+    heapify(heap)
+    out: list[Letter] = []
+    while heap:
+        x = g.letters[heappop(heap)[1]]
+        out.append(x)
+        # no letter of D(x) other than x can be on the heap: it would have
+        # to precede x's first occurrence, and then x could not come first
+        for j in g.dependent_ranks(x):
+            s = stacks[j]
+            s.pop()
+            if s and s[-1]:
+                heappush(heap, (key[j], j))
+    return TraceWord(g, tuple(out))
+
+
+def stack_trace_equivalent(u, v):
+    """Whether u and v denote the same trace: equal dependence stacks."""
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatchError("cannot compare over different alphabets")
+    if len(u.word) != len(v.word):
+        return False
+    return _stacks(u) == _stacks(v)
 
 
 def fraction_kernel_vector(rows, ncols):

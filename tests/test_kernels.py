@@ -4,19 +4,26 @@ normal_form, overlap, nf_power, action, conjugacy_decomposition and the
 Knuth-Morris-Pratt step match_step, with its border table built on demand,
 are checked against the quadratic versions in oracles.py: exhaustively at
 small sizes, with hypothesis on longer words over one to three letters
-(where centers get long), and on the edge cases by hand.  lex_normal_form and trace_equivalent are checked against the
-greedy normal form, the pairwise-projection test and bfs_trace_class:
-exhaustively on small independence graphs, with hypothesis on random
-graphs of 8 to 28 letters.  The last tests keep every kernel linear: at
-64,000 actions or letters, or 16,000-letter alphabets, a quadratic version
-takes minutes; and an embedding over a 4,000-letter alphabet is built once,
-in time linear in the alphabet and its letter images.
+(where centers get long), and on the edge cases by hand.  lex_normal_form
+and trace_equivalent are checked against the greedy normal form, the
+pairwise-projection test and bfs_trace_class: exhaustively on small
+independence graphs, with hypothesis on random graphs of 8 to 28 letters.
+They are also checked against the dependence-stack kernels they replaced:
+on every graph over four letters with every word of length up to 5, and
+with hypothesis on graphs of 30 to 300 letters around a high-degree core,
+with words of up to 2,000 letters.  The last tests keep every kernel
+linear: at 64,000 actions or letters, or 16,000-letter alphabets, a
+quadratic version takes minutes, and the trace kernels stay under 64 MB
+on a 16,000-letter matching; and an embedding over a 4,000-letter
+alphabet is built once, in time linear in the alphabet and its letter
+images.
 """
 
 import itertools
 import random
 import string
 import time
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -47,10 +54,11 @@ from quemon import (
     trace_equivalent,
 )
 from quemon.embed import _words_with_keys
-from quemon.trace import _stacks
+from quemon.trace import _offsets
 from quemon.words import match_step
 
 from oracles import (
+    _stacks,
     bfs_trace_class,
     fold_normal_form,
     greedy_lex_normal_form,
@@ -60,6 +68,8 @@ from oracles import (
     scan_overlap,
     scan_prefix_function,
     slicing_action,
+    stack_lex_normal_form,
+    stack_trace_equivalent,
 )
 
 ACTIONS = ("a", "b", "~a", "~b")
@@ -191,6 +201,11 @@ def _small_graphs():
         yield IndependenceAlphabet(four, edges)
 
 
+
+def _offset_key(u):
+    """The offsets of u as a hashable class key."""
+    return tuple(sorted((x, tuple(o)) for x, o in _offsets(u).items()))
+
 def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
     for g in _small_graphs():
         for order in (g.letters, g.letters[::-1]):
@@ -201,18 +216,18 @@ def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
 
 def test_dependence_stacks_separate_exactly_the_classes_up_to_6():
     # the class keys that verify_embedding_bounded extends letter by letter,
-    # and the stacks that trace_equivalent compares, on embeddable and
-    # non-embeddable graphs alike
+    # and the offsets that trace_equivalent compares (each letter's places
+    # in its dependence stack), on embeddable and non-embeddable graphs alike
     for g in _small_graphs():
         images = {x: ProductWord((), ()) for x in g.letters}
         class_of = {}
-        stacks_of = {}
+        offsets_of = {}
         for w, key, _ in _words_with_keys(g, images, 6):
             nf = greedy_lex_normal_form(g, w)
             assert class_of.setdefault(key, nf) == nf, (g, w)
-            stacks = tuple(map(tuple, _stacks(TraceWord(g, w))))
-            assert stacks_of.setdefault(stacks, nf) == nf, (g, w)
-        assert len(set(class_of.values())) == len(class_of) == len(stacks_of), g
+            offsets = _offset_key(TraceWord(g, w))
+            assert offsets_of.setdefault(offsets, nf) == nf, (g, w)
+        assert len(set(class_of.values())) == len(class_of) == len(offsets_of), g
 
 
 def test_trace_equivalent_matches_projections_and_bfs_up_to_4():
@@ -315,10 +330,87 @@ def test_trace_equivalent_matches_projections_on_random_graphs(gw):
     for v in others:
         want = projection_equivalent(g, w, v)
         assert trace_equivalent(TraceWord(g, w), TraceWord(g, v)) == want
-        assert (_stacks(TraceWord(g, w)) == _stacks(TraceWord(g, v))) == want
+        assert (_offsets(TraceWord(g, w)) == _offsets(TraceWord(g, v))) == want
     assert trace_equivalent(TraceWord(g, w), TraceWord(g, others[0]))
     if i is not None:
         assert not trace_equivalent(TraceWord(g, w), TraceWord(g, others[-1]))
+
+
+# -- the offset kernels against the stack kernels they replaced ---------------
+
+def test_offset_kernels_equal_the_stack_kernels_on_every_graph_on_4_letters():
+    # trace_equivalent is equal lengths and equal offsets, so checking that
+    # the offsets split each graph's words into the classes the stacks do
+    # covers every pair of words; the stack normal form is computed once
+    # per class
+    four = ("a", "b", "c", "d")
+    pairs = list(itertools.combinations(four, 2))
+    words = list(words_up_to(5, four))
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            g = IndependenceAlphabet(four, edges)
+            classes = {}
+            normal_forms = {}
+            for w in words:
+                u = TraceWord(g, w)
+                stacks = tuple(map(tuple, _stacks(u)))
+                offsets = _offset_key(u)
+                assert classes.setdefault(stacks, offsets) == offsets, (g, w)
+                for order in (four, four[::-1]):
+                    if (stacks, order) not in normal_forms:
+                        normal_forms[stacks, order] = stack_lex_normal_form(u, order)
+                    nf = lex_normal_form(u, order)
+                    assert nf == normal_forms[stacks, order], (g, order, w)
+                assert trace_equivalent(u, nf), (g, w)
+            assert len(set(classes.values())) == len(classes), g
+
+
+@st.composite
+def cored_graphs_and_words(draw):
+    """30 to 300 letters around a high-degree core of 6 to 60 letters: a
+    complete bipartite graph, the same with one edge inside a side (odd
+    cycles), or two complete bipartite components; a sparse matching on
+    the rest; a shuffled order, and a word of up to 2,000 letters, about
+    half of them from the core."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    letters = tuple(f"x{i}" for i in range(draw(st.integers(min_value=30, max_value=300))))
+    core = list(letters[: rng.randint(6, 60)])
+    rng.shuffle(core)
+    kind = draw(st.sampled_from(("bipartite", "odd", "two")))
+    parts = [core] if kind != "two" else [core[: len(core) // 2], core[len(core) // 2:]]
+    edges = set()
+    for part in parts:
+        p = rng.randint(1, len(part) - 2)
+        edges.update((a, b) for a in part[:p] for b in part[p:])
+    if kind == "odd":
+        edges.add((core[-2], core[-1]))
+    rest = list(letters[len(core):])
+    rng.shuffle(rest)
+    edges.update(zip(rest[: len(rest) // 4], rest[len(rest) // 4: len(rest) // 2]))
+    g = IndependenceAlphabet(letters, edges)
+    order = list(letters)
+    rng.shuffle(order)
+    n = draw(st.integers(min_value=0, max_value=2_000))
+    w = tuple(rng.choice(core) if rng.random() < 0.5 else rng.choice(letters) for _ in range(n))
+    return g, order, w, rng
+
+
+@given(cored_graphs_and_words())
+@settings(max_examples=40, deadline=None)
+def test_offset_kernels_equal_the_stack_kernels_on_cored_graphs(gw):
+    g, order, w, rng = gw
+    u = TraceWord(g, w)
+    nf = lex_normal_form(u, order)
+    assert nf == stack_lex_normal_form(u, order)
+    assert lex_normal_form(u) == stack_lex_normal_form(u)
+    assert trace_equivalent(u, nf)
+    others = [_swap_independent(g, w, rng, 3 * len(w)) if len(w) > 1 else w, w[::-1]]
+    i = next((i for i in range(len(w) - 1) if w[i] != w[i + 1]), None)
+    if i is not None:
+        others.append(w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+    for v in others:
+        v = TraceWord(g, v)
+        assert trace_equivalent(u, v) == stack_trace_equivalent(u, v)
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -353,6 +445,7 @@ def test_edge_cases():
 # -- no quadratic path --------------------------------------------------------
 
 CAP_S = 5.0  # each call below takes tens of milliseconds; quadratic code, minutes
+TRACE_PEAK_BYTES = 64 * 2**20
 
 
 def _timed(f, *args):
@@ -410,6 +503,33 @@ def test_trace_kernels_stay_linear_at_64000_letters():
     assert _timed(trace_equivalent, u, nf)
     assert _timed(trace_equivalent, u, v)
     assert not _timed(trace_equivalent, u, TraceWord(g, other))
+
+
+def test_trace_kernels_stay_linear_on_a_16000_letter_matching():
+    # each letter has one independent partner and 15,999 dependent ones:
+    # a table or a stack per dependent letter is O(|letters|^2), gigabytes
+    letters = [f"l{i}" for i in range(16_000)]
+    g = IndependenceAlphabet(letters, [(letters[i], letters[i + 1]) for i in range(0, 16_000, 2)])
+    rng = random.Random(5)
+    w = tuple(rng.choice(letters) for _ in range(64_000))
+    same = _swap_independent(g, w, rng, 128_000)
+    i = next(i for i in range(len(w) - 1) if w[i] != w[i + 1] and not g.independent(w[i], w[i + 1]))
+    u, v, other = TraceWord(g, w), TraceWord(g, same), TraceWord(g, w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+    nf = _timed(lex_normal_form, u)
+    assert _timed(trace_equivalent, u, v)
+    assert not _timed(trace_equivalent, u, other)
+    # once more under tracemalloc, which slows them several times over
+    for f, args in ((lex_normal_form, (u,)), (trace_equivalent, (u, v))):
+        tracemalloc.start()
+        try:
+            f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TRACE_PEAK_BYTES, (f.__name__, peak)
+    assert nf == lex_normal_form(v) and trace_equivalent(u, nf) and lex_normal_form(nf) == nf
+    # a letter and its partner commute, so the least member lists pairs in order
+    assert all(g.rank(x) <= g.rank(y) or not g.independent(x, y) for x, y in zip(nf.word, nf.word[1:]))
 
 
 def test_decide_embeddable_stays_linear_at_16000_letters():

@@ -37,8 +37,19 @@ def all_edge_sets(letters, max_edges=None):
 # -- construction -------------------------------------------------------------
 
 def test_trace_word_validates_letters():
-    with pytest.raises(PreconditionError):
-        TraceWord(AB, ("a", "z"))
+    with pytest.raises(PreconditionError, match="^letter 'z' not in the alphabet$"):
+        TraceWord(AB, ("a", "z", "b", "y"))
+    with pytest.raises(PreconditionError, match="'y'"):
+        TraceWord(AB, ["y", "z"])
+
+
+def test_trace_word_stores_a_tuple():
+    # any iterable of letters gives the same hashable word as its tuple
+    u = TraceWord(AB, ["a", "b"])
+    assert u.word == ("a", "b") and type(u.word) is tuple
+    assert u == TraceWord(AB, ("a", "b"))
+    assert hash(u) == hash(TraceWord(AB, ("a", "b")))
+    assert TraceWord(AB, iter("ab")) == u
 
 
 def test_trace_word_multiplication():
@@ -61,8 +72,21 @@ def test_lex_normal_form_examples():
 def test_lex_normal_form_custom_order():
     u = TraceWord(AB, ("a", "b"))
     assert lex_normal_form(u, order=("b", "a")).word == ("b", "a")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="missing letter 'b'"):
         lex_normal_form(u, order=("a",))
+
+
+def test_lex_normal_form_rejects_a_repeated_or_unknown_letter_in_the_order():
+    u = TraceWord(AC, ("c", "a", "b"))
+    # a repeated letter would have two ranks
+    with pytest.raises(PreconditionError, match="repeats letter 'a'"):
+        lex_normal_form(u, order=("b", "a", "c", "a"))
+    with pytest.raises(PreconditionError, match="unknown letter 'z'"):
+        lex_normal_form(u, order=("b", "a", "c", "z"))
+    with pytest.raises(PreconditionError, match="unknown letter 'z'"):
+        lex_normal_form(TraceWord(AC, ()), order=("z", "a", "b", "c"))
+    assert lex_normal_form(u).word == ("a", "c", "b")
+    assert lex_normal_form(u, order=("b", "c", "a")).word == ("c", "a", "b")
 
 
 def test_trace_equivalent_examples():
