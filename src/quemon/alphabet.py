@@ -76,6 +76,8 @@ class IndependenceAlphabet:
         # images built so far, or the NotEmbeddable verdict; set on the
         # first embedding over this alphabet
         self._embedding: object = None
+        # the letters and edges never change, so their hash is computed once
+        self._hash: int | None = None
 
     def _canonical(self, a: Letter, b: Letter) -> tuple[Letter, Letter]:
         if self._rank[a] <= self._rank[b]:
@@ -119,7 +121,15 @@ class IndependenceAlphabet:
         return self.letters == other.letters and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.letters, self.edges))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.letters, self.edges))
+        return h
+
+    def __reduce__(self) -> tuple:
+        # rebuilt without the cached tables: a string hash is only valid in
+        # the process that computed it
+        return (IndependenceAlphabet, (self.letters, tuple(self.edges)))
 
     def __repr__(self) -> str:
         pairs = ",".join(f"({a},{b})" for a, b in self.to_json()["independent"])

@@ -14,7 +14,8 @@ image is built on its first use.  The image of a word is the concatenation
 of its letters' images, O(n + output).
 
 verify_embedding_bounded extends words one letter at a time and carries
-each word's dependence stacks (see quemon.trace) and image along.
+each word's class key and image along; the key, defined in
+_words_with_keys, packs each letter's dependence stack into one int.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ def verify_embedding_bounded(
 
     Enumerates every word of length at most n over the alphabet and tests
     that two words share an image exactly when they are trace equivalent,
-    that is, have equal dependence stacks.  The first offending pair, in
-    enumeration order, is reported.  Each word costs one push per letter
-    dependent on its last letter, plus its image.
+    that is, have equal class keys (see _words_with_keys).  The first
+    offending pair, in enumeration order, is reported.  Each word costs one
+    shift per letter dependent on its last letter, plus its image.
     """
     for x in g.letters:
         if x not in images:

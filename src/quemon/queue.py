@@ -34,11 +34,13 @@ blocks are read off the concatenated projections.
 Appending one action to w never shortens pos or neg, and the center moves
 exactly like a Knuth-Morris-Pratt matcher of neg against pos whose match
 may not exceed the letters written so far.  normal_form is that matcher run
-once over w, with the prefix function of pos grown as letters are written
-and built only as far as a fallback reaches, so it takes linear time and a
-write costs one append; multiply, power_mu and nf_power use
-the linear overlap of the words module, and action keeps a head index into
-the queue instead of slicing it.
+once over w, so it takes linear time.  A write costs one append to pos.  A
+read that continues the match lengthens it in place, a read that
+mismatches at length 0 leaves it at 0, and only a real fallback calls
+match_step, which builds the prefix function of pos as far as the
+fallback reaches.  multiply, power_mu and nf_power use the linear overlap
+of the words module, which advances its match the same way, and action
+keeps a head index into the queue instead of slicing it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def action(state: QueueState, w: QueueWord) -> QueueState:
     queue = list(state)
     head = 0
     for a in w:
-        if a.startswith("~"):
+        if a[:1] == "~":
             if head == len(queue) or queue[head] != a[1:]:
                 return BOTTOM
             head += 1
@@ -152,19 +154,23 @@ def normal_form(w: QueueWord) -> QueueNormalForm:
     read so far that is a prefix of the letters written so far, reached
     through the previous center: a write leaves it alone, a read of x moves
     it to overlap(center . x, pos).  That is one Knuth-Morris-Pratt step of
-    neg against pos, with the prefix function of pos grown as letters are
-    written: match_step builds its entries only when a fallback first needs
-    them, so a write only appends to pos.  The match never exceeds len(pos).
+    neg against pos, taken in place when x continues the match or the
+    match is empty; only a fallback calls match_step, which builds the
+    prefix function of pos as far as the fallback first needs it, so a
+    write only appends to pos.  The match never exceeds len(pos).
     """
     neg: list[Letter] = []
     pos: list[Letter] = []
     border: list[int] = []  # prefix function of pos, built on demand
     k = 0  # length of the current center
     for a in w:
-        if a.startswith("~"):
+        if a[:1] == "~":
             x = a[1:]
             neg.append(x)
-            k = match_step(pos, border, k, x)
+            if k < len(pos) and pos[k] == x:
+                k += 1
+            elif k:
+                k = match_step(pos, border, k, x)
         else:
             pos.append(a)
     return QueueNormalForm(tuple(neg[: len(neg) - k]), tuple(pos[:k]), tuple(pos[k:]))

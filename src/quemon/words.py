@@ -4,10 +4,12 @@ A word is a tuple of letters; a letter is a nonempty string.  Everything in
 this module is classical periodicity reasoning on plain words.  Words may be
 long (queue products and powers of many thousands of actions call overlap),
 so overlaps and rotations go through the prefix function of Knuth, Morris
-and Pratt (1977) and take linear time.  The single step function match_step
-both matches and builds that table, on demand: an entry is computed, in
-order and once, only when a fallback first reaches it, so a scan that
-rarely mismatches builds little of it.
+and Pratt (1977) and take linear time.  Every scan advances its match
+itself: a letter that continues the match lengthens it by one, a letter
+that mismatches at length 0 leaves it at 0, and only a real fallback calls
+match_step.  That one fallback path also builds the table, on demand: an
+entry is computed, in order and once, only when a fallback first reaches
+it, so a scan that rarely mismatches builds little of it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ def match_step(pattern: Sequence[Letter], border: list[int], k: int, x: Letter) 
     is the length of the longest proper prefix of pattern[:i+1] that is also
     its suffix.  A fallback from a match of length k needs border[k - 1];
     when that entry is not built yet, border is extended in place up to it,
-    each new entry by one step of this function over pattern itself.  A
+    each new entry by one step over pattern itself, by the rule every
+    caller follows: extend when the next letter continues the match, stay
+    at 0 when a match of length 0 mismatches, and call this function only
+    to fall back.  A
     full match (k == len(pattern)) falls back along its borders first, so
     the result never exceeds len(pattern).  Each call costs O(1) amortised
     over a left-to-right scan, because every fallback shortens the match,
@@ -46,7 +51,13 @@ def match_step(pattern: Sequence[Letter], border: list[int], k: int, x: Letter) 
         while len(border) < k:
             # border[-1] < len(border): this step needs no entry not built yet
             i = len(border)
-            border.append(match_step(pattern, border, border[-1], pattern[i]) if i else 0)
+            j = border[-1] if i else 0
+            y = pattern[i]
+            if i and pattern[j] == y:
+                j += 1
+            elif j:
+                j = match_step(pattern, border, j, y)
+            border.append(j)
         k = border[k - 1]
     if k < n and pattern[k] == x:
         return k + 1
@@ -58,16 +69,21 @@ def overlap(u: Word, v: Word) -> Word:
 
     Only the last m = min(|u|, |v|) letters of u and the first m of v can
     take part.  One Knuth-Morris-Pratt scan of those letters of u against
-    v[:m] ends in the longest prefix of v[:m] that is a suffix of u; the
-    prefix function of v[:m] is built only as far as the scan falls back,
-    so the whole costs O(|u| + |v|).
+    v[:m] ends in the longest prefix of v[:m] that is a suffix of u.  The
+    scan extends the match in place and calls match_step only to fall
+    back, so the prefix function of v[:m] is built only as far as the
+    fallbacks reach, and the whole costs O(|u| + |v|).
     """
     m = min(len(u), len(v))
     head = v[:m]
     border: list[int] = []
     k = 0
     for x in u[len(u) - m:]:
-        k = match_step(head, border, k, x)
+        # k is at most the letters read before x, fewer than m
+        if head[k] == x:
+            k += 1
+        elif k:
+            k = match_step(head, border, k, x)
     return head[:k]
 
 
@@ -167,12 +183,16 @@ def conjugacy_decomposition(p: Word, q: Word) -> ConjugacyDecomposition | None:
         raise NotPrimitiveError(f"not primitive: {q!r}")
     if len(p) != len(q):
         return None
+    n = len(q)
     border: list[int] = []
     k = 0
     for end, x in enumerate(p + p[:-1], start=1):
-        k = match_step(q, border, k, x)
-        if k == len(q):
-            i = end - len(q)
+        if q[k] == x:  # k < n: a full match has returned
+            k += 1
+        elif k:
+            k = match_step(q, border, k, x)
+        if k == n:
+            i = end - n
             return ConjugacyDecomposition(p[:i], p[i:])
     return None
 

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +156,41 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "alphabet.json"
     path.write_text(json.dumps(MATCHING.to_json()))
     assert IndependenceAlphabet.load(path) == MATCHING
+
+
+def test_hash_is_kept_and_equal_for_alphabets_loaded_twice(tmp_path):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps(K23_ISOLATED.to_json()))
+    g, h = IndependenceAlphabet.load(path), IndependenceAlphabet.load(path)
+    assert g is not h and g == h
+    first = hash(g)
+    assert first == hash(h) == hash(K23_ISOLATED)
+    for x in g.letters:
+        g.neighbors(x)
+        g.dependent_ranks(x)
+    assert hash(g) == first == hash(h)
+    assert hash(IndependenceAlphabet.loads(path.read_text())) == first
+
+
+def test_a_pickled_alphabet_hashes_like_a_fresh_one_in_another_process():
+    # string hashes differ between processes, so a hash cached in one
+    # process must not travel with the pickle
+    dump = (
+        "import pickle, sys; from quemon import IndependenceAlphabet as A; "
+        "g = A(('a', 'b', 'c'), [('a', 'b')]); hash(g); "
+        "sys.stdout.write(pickle.dumps(g).hex())"
+    )
+    check = (
+        "import pickle, sys; from quemon import IndependenceAlphabet as A; "
+        "g = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+        "print(hash(g) == hash(A(('a', 'b', 'c'), [('a', 'b')])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    blob = subprocess.run([sys.executable, "-c", dump], capture_output=True, text=True, check=True,
+                          env=dict(env, PYTHONHASHSEED="1")).stdout
+    out = subprocess.run([sys.executable, "-c", check], input=blob, capture_output=True, text=True,
+                         check=True, env=dict(env, PYTHONHASHSEED="2")).stdout
+    assert out == "True\n"
 
 
 # -- graph analysis -------------------------------------------------------------

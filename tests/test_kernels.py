@@ -4,7 +4,9 @@ normal_form, overlap, nf_power, action, conjugacy_decomposition and the
 Knuth-Morris-Pratt step match_step, with its border table built on demand,
 are checked against the quadratic versions in oracles.py: exhaustively at
 small sizes, with hypothesis on longer words over one to three letters
-(where centers get long), and on the edge cases by hand.  lex_normal_form
+(where centers get long) and on near-periodic words of up to 400 actions
+(where a match runs for hundreds of letters before it falls back), and on
+the edge cases by hand.  lex_normal_form
 and trace_equivalent are checked against the greedy normal form, the
 pairwise-projection test and bfs_trace_class: exhaustively on small
 independence graphs, with hypothesis on random graphs of 8 to 28 letters.
@@ -280,6 +282,56 @@ def test_conjugacy_on_rotations_of_roots(r, e):
         q = root[i:] + root[:i]
         dec = conjugacy_decomposition(root, q)
         assert (dec.g, dec.h) == scan_conjugacy_split(root, q)
+
+
+@st.composite
+def near_periodic_runs(draw):
+    """A power of a random primitive root over {a, b}, written and read back
+    with 0 to 2 letters changed on either side or both, as 50 to 400 actions.
+
+    Writes and reads follow a random walk that lets the reads catch up with
+    the writes and run ahead of them, so the match in normal_form runs for
+    hundreds of letters, reaches len(pos), and falls back from deep k.
+    Returns the action word and the written and the read letters.
+    """
+    root = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=7).map(tuple).filter(is_primitive))
+    n = draw(st.integers(min_value=25, max_value=200))
+    text = (root * (n // len(root) + 1))[:n]
+    pos, neg = list(text), list(text)
+    # a letter changed on both sides lets the match run past it, so a later
+    # fallback reads the border table beyond the change
+    changes = st.tuples(st.sampled_from(("pos", "neg", "both")), st.integers(0, n - 1))
+    for side, i in draw(st.lists(changes, max_size=2)):
+        for name, word in (("pos", pos), ("neg", neg)):
+            if side in (name, "both"):
+                word[i] = "b" if word[i] == "a" else "a"
+    rng = draw(st.randoms(use_true_random=False))
+    w, wrote, read = [], 0, 0
+    while wrote < n or read < n:
+        # reads trail the writes closely and sometimes run ahead
+        if read == n or (wrote < n and rng.random() < (0.3 if read < wrote else 0.7)):
+            w.append(pos[wrote])
+            wrote += 1
+        else:
+            w.append("~" + neg[read])
+            read += 1
+    return tuple(w), tuple(pos), tuple(neg)
+
+
+@given(near_periodic_runs())
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_oracles_on_long_near_periodic_words(run):
+    w, pos, neg = run
+    assert normal_form(w) == fold_normal_form(w)
+    assert overlap(neg, pos) == scan_overlap(neg, pos)
+    assert overlap(pos, neg) == scan_overlap(pos, neg)
+    for q in ((), pos[:7]):
+        assert action(q, w) == slicing_action(q, w)
+    turned = pos[len(pos) // 3:] + pos[: len(pos) // 3]
+    for p, q in ((pos, turned), (neg, turned)):
+        if is_primitive(p) and is_primitive(q):
+            dec = conjugacy_decomposition(p, q)
+            assert (None if dec is None else (dec.g, dec.h)) == scan_conjugacy_split(p, q)
 
 
 @st.composite
