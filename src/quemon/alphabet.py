@@ -68,10 +68,8 @@ class IndependenceAlphabet:
             adj[b].add(a)
         self.edges: frozenset[tuple[Letter, Letter]] = frozenset(edges)
         self._adj = adj
-        # per-letter tables, filled on first use: building them for every
-        # letter at load time would cost O(|letters|^2)
+        # each letter's neighbours in declaration order, sorted on first use
         self._neighbors: dict[Letter, tuple[Letter, ...]] = {}
-        self._dependent: dict[Letter, tuple[int, ...]] = {}
         # each letter's index and components in quemon.embed, with the
         # images built so far, or the NotEmbeddable verdict; set on the
         # first embedding over this alphabet
@@ -99,14 +97,6 @@ class IndependenceAlphabet:
         if nbrs is None:
             nbrs = self._neighbors[x] = tuple(sorted(self._adj[x], key=self._rank.__getitem__))
         return nbrs
-
-    def dependent_ranks(self, x: Letter) -> tuple[int, ...]:
-        """Ranks of the letters dependent on x, x included, in increasing order."""
-        dep = self._dependent.get(x)
-        if dep is None:
-            adj = self._adj[x]
-            dep = self._dependent[x] = tuple(i for i, y in enumerate(self.letters) if y not in adj)
-        return dep
 
     def degree(self, x: Letter) -> int:
         return len(self._adj[x])

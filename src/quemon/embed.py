@@ -15,7 +15,8 @@ of its letters' images, O(n + output).
 
 verify_embedding_bounded extends words one letter at a time and carries
 each word's class key and image along; the key, defined in
-_words_with_keys, packs each letter's dependence stack into one int.
+_words_with_keys, holds each letter's occurrence offsets (see
+quemon.trace) as the bits of one int.
 """
 
 from __future__ import annotations
@@ -134,27 +135,28 @@ def _words_with_keys(
     """Every word of length at most n, by length and then letter order,
     with its class key and its image, each extended from its parent's.
 
-    The class key holds one int per dependence stack: a leading 1, then
-    one bit per entry, the newest lowest (1 where the stack's own letter
-    stands, 0 for a marker).  Appending x pushes onto the stacks of D(x),
-    the letters dependent on x.
+    The class key holds one int per letter, whose bit o is set when the
+    letter has an occurrence at offset o, the canonical form of
+    quemon.trace.  Appending x to a word of length m sets bit m - sum over
+    z in I(x) of #z in x's int, and #z is the popcount of z's int.
     """
     steps = [
-        (x, g.rank(x), g.dependent_ranks(x), images[x].first, images[x].second)
+        (x, g.rank(x), tuple(map(g.rank, g.neighbors(x))), images[x].first, images[x].second)
         for x in g.letters
     ]
-    level = [((), (1,) * len(g.letters), ((), ()))]
+    level = [((), (0,) * len(g.letters), ((), ()))]
     for length in range(n + 1):
         yield from level
         if length < n:
             nxt = []
             for word, key, (first, second) in level:
-                for x, i, dep, x_first, x_second in steps:
-                    stacks = list(key)
-                    for j in dep:
-                        stacks[j] <<= 1
-                    stacks[i] |= 1
-                    nxt.append((word + (x,), tuple(stacks), (first + x_first, second + x_second)))
+                for x, i, independent, x_first, x_second in steps:
+                    offset = length
+                    for j in independent:
+                        offset -= key[j].bit_count()
+                    offsets = list(key)
+                    offsets[i] |= 1 << offset
+                    nxt.append((word + (x,), tuple(offsets), (first + x_first, second + x_second)))
             level = nxt
 
 
@@ -169,7 +171,7 @@ def verify_embedding_bounded(
     that two words share an image exactly when they are trace equivalent,
     that is, have equal class keys (see _words_with_keys).  The first
     offending pair, in enumeration order, is reported.  Each word costs one
-    shift per letter dependent on its last letter, plus its image.
+    popcount per letter independent of its last letter, plus its image.
     """
     for x in g.letters:
         if x not in images:

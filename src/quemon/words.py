@@ -14,7 +14,7 @@ it, so a scan that rarely mismatches builds little of it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     EmptyWordError,
@@ -120,43 +120,32 @@ def power_exponent(w: Word, base: Word) -> int | None:
     return k
 
 
-class ConjugacyDecomposition:
+class _Split(NamedTuple):
+    g: Word
+    h: Word
+
+
+class ConjugacyDecomposition(_Split):
     """A split (g, h) witnessing that p = gh and q = hg are conjugate.
 
     h must be nonempty and gh primitive; every rotation of a primitive word
-    is again primitive, so hg needs no separate check.  Immutable, compared
-    and hashed by (g, h).
+    is again primitive, so hg needs no separate check.  A NamedTuple, so it
+    is immutable and compares equal to the plain tuple (g, h).
     """
 
-    __slots__ = ("g", "h")
+    __slots__ = ()
 
-    def __init__(self, g: Word, h: Word) -> None:
+    def __new__(cls, g: Word, h: Word) -> "ConjugacyDecomposition":
         if not h:
             raise EmptyWordError("h must be nonempty")
         if not is_primitive(g + h):
             raise NotPrimitiveError(f"gh is not primitive: {g + h!r}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
+        return super().__new__(cls, g, h)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"ConjugacyDecomposition(g={self.g!r}, h={self.h!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.g, self.h) == (other.g, other.h)  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.h))
-
-    def __reduce__(self) -> tuple:
-        return (ConjugacyDecomposition, (self.g, self.h))
+    @classmethod
+    def _make(cls, iterable) -> "ConjugacyDecomposition":
+        # _replace builds through _make, so it checks its arguments too
+        return cls(*iterable)
 
     @property
     def p(self) -> Word:

@@ -282,6 +282,13 @@ def projection_equivalent(g, u, v):
     return True
 
 
+def _dependent_ranks(u):
+    """For each letter x of u, the ranks of the letters dependent on x, x
+    included, in increasing order."""
+    g = u.alphabet
+    return {x: [j for j, y in enumerate(g.letters) if not g.independent(x, y)] for x in set(u.word)}
+
+
 def _stacks(u):
     """Dependence stacks of u, indexed by rank, with the first position on top.
 
@@ -290,10 +297,10 @@ def _stacks(u):
     """
     g = u.alphabet
     stacks: list[list[bool]] = [[] for _ in g.letters]
-    dep = {x: (g.rank(x), g.dependent_ranks(x)) for x in set(u.word)}
+    dep = _dependent_ranks(u)
     for x in reversed(u.word):
-        i, ranks = dep[x]
-        for j in ranks:
+        i = g.rank(x)
+        for j in dep[x]:
             stacks[j].append(j == i)
     return stacks
 
@@ -316,6 +323,7 @@ def stack_lex_normal_form(u, order=None):
                 raise PreconditionError(f"order is missing letter {x!r}")
         key = [rank[x] for x in g.letters]
     stacks = _stacks(u)
+    dep = _dependent_ranks(u)
     heap = [(key[i], i) for i, s in enumerate(stacks) if s and s[-1]]
     heapify(heap)
     out: list[Letter] = []
@@ -324,7 +332,7 @@ def stack_lex_normal_form(u, order=None):
         out.append(x)
         # no letter of D(x) other than x can be on the heap: it would have
         # to precede x's first occurrence, and then x could not come first
-        for j in g.dependent_ranks(x):
+        for j in dep[x]:
             s = stacks[j]
             s.pop()
             if s and s[-1]:

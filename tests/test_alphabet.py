@@ -167,7 +167,6 @@ def test_hash_is_kept_and_equal_for_alphabets_loaded_twice(tmp_path):
     assert first == hash(h) == hash(K23_ISOLATED)
     for x in g.letters:
         g.neighbors(x)
-        g.dependent_ranks(x)
     assert hash(g) == first == hash(h)
     assert hash(IndependenceAlphabet.loads(path.read_text())) == first
 

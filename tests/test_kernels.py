@@ -216,18 +216,21 @@ def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
                 assert got == greedy_lex_normal_form(g, w, order), (g, order, w)
 
 
-def test_dependence_stacks_separate_exactly_the_classes_up_to_6():
-    # the class keys that verify_embedding_bounded extends letter by letter,
-    # and the offsets that trace_equivalent compares (each letter's places
+def test_class_keys_are_the_offsets_and_separate_exactly_the_classes_up_to_6():
+    # the class keys that verify_embedding_bounded extends letter by letter
+    # hold the offsets that trace_equivalent compares (each letter's places
     # in its dependence stack), on embeddable and non-embeddable graphs alike
     for g in _small_graphs():
         images = {x: ProductWord((), ()) for x in g.letters}
         class_of = {}
         offsets_of = {}
         for w, key, _ in _words_with_keys(g, images, 6):
+            u = TraceWord(g, w)
+            offs = _offsets(u)
+            assert key == tuple(sum(1 << o for o in offs.get(x, ())) for x in g.letters), (g, w)
             nf = greedy_lex_normal_form(g, w)
             assert class_of.setdefault(key, nf) == nf, (g, w)
-            offsets = _offset_key(TraceWord(g, w))
+            offsets = _offset_key(u)
             assert offsets_of.setdefault(offsets, nf) == nf, (g, w)
         assert len(set(class_of.values())) == len(class_of) == len(offsets_of), g
 

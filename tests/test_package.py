@@ -33,6 +33,7 @@ from quemon import (
     ProductWord,
     TraceWord,
     TwoNontrivialComponents,
+    WitnessReport,
 )
 
 # Runs in a fresh interpreter: imports quemon, then quemon.cli, runs main
@@ -203,6 +204,9 @@ RECORDS = [
     (TraceWord(AB, ("a", "b")),
      "TraceWord(alphabet=IndependenceAlphabet('ab', [(a,b)]), word=('a', 'b'))"),
     (ConjugacyDecomposition(("a",), ("b",)), "ConjugacyDecomposition(g=('a',), h=('b',))"),
+    (WitnessReport("p4", (1, 1, 1, 1, 1), None, ("a", "~b"), ("~b", "a"), True),
+     "WitnessReport(kind='p4', x=(1, 1, 1, 1, 1), y=None, lhs=('a', '~b'), "
+     "rhs=('~b', 'a'), verified=True)"),
 ]
 
 
@@ -226,6 +230,7 @@ def test_validating_records_compare_by_fields_only():
     assert len(TraceWord(AB, ("a", "b", "a"))) == 3
     assert ConjugacyDecomposition((), ("a", "b")) != ConjugacyDecomposition(("a",), ("b",))
     assert ConjugacyDecomposition(("a",), ("b",)).q == ("b", "a")
+    assert ConjugacyDecomposition(("a",), ("b",)) == (("a",), ("b",))
     with pytest.raises(AttributeError):
         del TraceWord(AB, ()).word
 
@@ -237,3 +242,5 @@ def test_validating_records_reject_bad_arguments():
         ConjugacyDecomposition(("a",), ())
     with pytest.raises(NotPrimitiveError):
         ConjugacyDecomposition(("a",), ("a",))
+    with pytest.raises(EmptyWordError):
+        ConjugacyDecomposition(("a",), ("b",))._replace(h=())
