@@ -13,17 +13,30 @@ alphabet, each letter's index and components, in O(V + E); a letter's
 image is built on its first use.  The image of a word is the concatenation
 of its letters' images, O(n + output).
 
-verify_embedding_bounded extends words one letter at a time and carries
-each word's class key and image along; the key, defined in
-_words_with_keys, holds each letter's occurrence offsets (see
-quemon.trace) as the bits of one int.
+verify_embedding_bounded enumerates the words of each length in letter
+order but extends only lexicographic normal forms.  The first word of a
+class in shortlex order is its normal form, and a word is one exactly when
+no factor b u a has a before b and a independent of b and of every letter
+of u (Diekert & Rozenberg, The Book of Traces, 1995).  So a word carries
+the bitmask B of the letters that would complete such a factor, x may
+follow exactly when its bit is clear, and appending z gives
+(B & I(z)) | (I(z) & letters before z).  Why the other words need no
+check past length 2: once the words of length at most 2 pass, the images
+of independent letters commute, so the image is a function of the class
+and only a collision between classes is left.  Let w be the first word
+whose image equals that of an earlier word of another class, and p the
+first word with that image.  p is a normal form, since its normal form has
+its image and comes no later.  So is w: otherwise its normal form comes
+earlier, lies in w's class and would collide with p first.  The rules that
+decide the words of length 2 are the same as for every word: equal images
+of inequivalent words fail first, then unequal images of equivalent ones.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .alphabet import (
     IndependenceAlphabet,
@@ -129,37 +142,6 @@ class EmbeddingReport(NamedTuple):
     detail: str
 
 
-def _words_with_keys(
-    g: IndependenceAlphabet, images: Mapping[Letter, ProductWord], n: int
-) -> Iterator[tuple[Word, tuple[int, ...], tuple[Word, Word]]]:
-    """Every word of length at most n, by length and then letter order,
-    with its class key and its image, each extended from its parent's.
-
-    The class key holds one int per letter, whose bit o is set when the
-    letter has an occurrence at offset o, the canonical form of
-    quemon.trace.  Appending x to a word of length m sets bit m - sum over
-    z in I(x) of #z in x's int, and #z is the popcount of z's int.
-    """
-    steps = [
-        (x, g.rank(x), tuple(map(g.rank, g.neighbors(x))), images[x].first, images[x].second)
-        for x in g.letters
-    ]
-    level = [((), (0,) * len(g.letters), ((), ()))]
-    for length in range(n + 1):
-        yield from level
-        if length < n:
-            nxt = []
-            for word, key, (first, second) in level:
-                for x, i, independent, x_first, x_second in steps:
-                    offset = length
-                    for j in independent:
-                        offset -= key[j].bit_count()
-                    offsets = list(key)
-                    offsets[i] |= 1 << offset
-                    nxt.append((word + (x,), tuple(offsets), (first + x_first, second + x_second)))
-            level = nxt
-
-
 def verify_embedding_bounded(
     g: IndependenceAlphabet,
     images: Mapping[Letter, ProductWord],
@@ -167,33 +149,69 @@ def verify_embedding_bounded(
 ) -> EmbeddingReport:
     """Check that the homomorphism given by letter images separates classes.
 
-    Enumerates every word of length at most n over the alphabet and tests
-    that two words share an image exactly when they are trace equivalent,
-    that is, have equal class keys (see _words_with_keys).  The first
-    offending pair, in enumeration order, is reported.  Each word costs one
-    popcount per letter independent of its last letter, plus its image.
+    Covers every word of length at most n: two words must share an image
+    exactly when they are trace equivalent.  The first offending pair in
+    shortlex order (by length, then letter order) is reported, with
+    words_checked the shortlex rank of its second word; a pass counts all
+    the words.  Only the lexicographic normal forms, one per class, and
+    the other words of length 2 are enumerated (see the module docstring
+    for why that suffices): each normal form costs one step per letter
+    plus its image, and one dict maps each image to its first normal form.
+    Words and images are held as str, one character per letter and per
+    image symbol.
     """
-    for x in g.letters:
+    letters = g.letters
+    for x in letters:
         if x not in images:
             raise RecipeMismatchError(f"no image for letter {x!r}")
-    by_image: dict[tuple[Word, Word], tuple[tuple[int, ...], Word]] = {}
-    by_class: dict[tuple[int, ...], tuple[Word, tuple[Word, Word]]] = {}
-    count = 0
-    for count, (word, key_class, key_img) in enumerate(_words_with_keys(g, images, n), 1):
-        prior = by_image.get(key_img)
-        if prior is None:
-            by_image[key_img] = (key_class, word)
-        elif prior[0] != key_class:
-            return EmbeddingReport(
-                False, count, len(by_class), (prior[1], word),
-                "equal images but inequivalent words",
-            )
-        prior_class = by_class.get(key_class)
-        if prior_class is None:
-            by_class[key_class] = (word, key_img)
-        elif prior_class[1] != key_img:
-            return EmbeddingReport(
-                False, count, len(by_class), (prior_class[0], word),
-                "equivalent words with different images",
-            )
-    return EmbeddingReport(True, count, len(by_class), None, "")
+    if n < 0:
+        return EmbeddingReport(True, 0, 0, None, "")
+    code: dict[Letter, str] = {}
+    steps = []
+    for i, x in enumerate(letters):
+        independent = 0
+        for y in g.neighbors(x):
+            independent |= 1 << g.rank(y)
+        first, second = images[x]
+        steps.append((
+            chr(i), 1 << i, independent, independent & ((1 << i) - 1),
+            "".join([code.setdefault(s, chr(len(code))) for s in first]),
+            "".join([code.setdefault(s, chr(len(code))) for s in second]),
+        ))
+    k = len(letters)
+    first_with = {("", ""): ""}
+
+    def failure(u: str, v: str, detail: str) -> EmbeddingReport:
+        nonempty = 0  # v as a numeral in bijective base k: the nonempty words up to v
+        for c in v:
+            nonempty = nonempty * k + ord(c) + 1
+        pair = (tuple(letters[ord(c)] for c in u), tuple(letters[ord(c)] for c in v))
+        return EmbeddingReport(False, 1 + nonempty, len(first_with), pair, detail)
+
+    # level holds the normal forms of one length in letter order, each
+    # with its blocked letters and its image; the last level is only checked
+    level = [("", 0, "", "")]
+    for length in range(n):
+        nxt = []
+        extend = length < n - 1
+        for word, blocked, first, second in level:
+            for x, bit, independent, before, x_first, x_second in steps:
+                if blocked & bit:
+                    if length == 1:
+                        # word + x is equivalent to the normal form x + word
+                        prior = first_with.get((first + x_first, second + x_second))
+                        if prior is None:
+                            return failure(x + word, word + x, "equivalent words with different images")
+                        if prior != x + word:
+                            return failure(prior, word + x, "equal images but inequivalent words")
+                    continue
+                child = word + x
+                f = first + x_first
+                s = second + x_second
+                prior = first_with.setdefault((f, s), child)
+                if prior is not child:  # the image is not new
+                    return failure(prior, child, "equal images but inequivalent words")
+                if extend:
+                    nxt.append((child, blocked & independent | before, f, s))
+        level = nxt
+    return EmbeddingReport(True, sum(k ** i for i in range(n + 1)), len(first_with), None, "")

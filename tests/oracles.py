@@ -10,6 +10,8 @@ normal form by greedy rescans, trace equivalence by projections onto
 every dependent pair, the dependence stacks by one projection per letter
 and by one push per position and dependent letter, with the normal form
 that pops them through a heap and the equivalence that compares them,
+the bounded embedding check over every word with its class key of
+occurrence offsets,
 the separating-queue search of `quemon eq` with every level of candidates
 held in a list, and the two embeddings built word by word, the bipartite
 one behind a recipe check that tries every pair, with the encoding of
@@ -48,6 +50,7 @@ from quemon import (
     BipartiteRecipe,
     CapExceededError,
     Embeddable,
+    EmbeddingReport,
     InternalError,
     MatchingRecipe,
     MissingPair,
@@ -347,6 +350,65 @@ def stack_trace_equivalent(u, v):
     if len(u.word) != len(v.word):
         return False
     return _stacks(u) == _stacks(v)
+
+
+def _words_with_keys(g, images, n):
+    """Every word of length at most n, by length and then letter order,
+    with its class key and its image, each extended from its parent's.
+
+    The class key holds one int per letter, whose bit o is set when the
+    letter has an occurrence at offset o, the canonical form of
+    quemon.trace.  Appending x to a word of length m sets bit m - sum over
+    z in I(x) of #z in x's int, and #z is the popcount of z's int.
+    """
+    steps = [
+        (x, g.rank(x), tuple(map(g.rank, g.neighbors(x))), images[x].first, images[x].second)
+        for x in g.letters
+    ]
+    level = [((), (0,) * len(g.letters), ((), ()))]
+    for length in range(n + 1):
+        yield from level
+        if length < n:
+            nxt = []
+            for word, key, (first, second) in level:
+                for x, i, independent, x_first, x_second in steps:
+                    offset = length
+                    for j in independent:
+                        offset -= key[j].bit_count()
+                    offsets = list(key)
+                    offsets[i] |= 1 << offset
+                    nxt.append((word + (x,), tuple(offsets), (first + x_first, second + x_second)))
+            level = nxt
+
+
+def keyed_verify_embedding_bounded(g, images, n):
+    """verify_embedding_bounded over every word: two words must share an
+    image exactly when they have equal class keys (see _words_with_keys).
+    The first offending pair, in enumeration order, is reported."""
+    for x in g.letters:
+        if x not in images:
+            raise RecipeMismatchError(f"no image for letter {x!r}")
+    by_image = {}
+    by_class = {}
+    count = 0
+    for count, (word, key_class, key_img) in enumerate(_words_with_keys(g, images, n), 1):
+        prior = by_image.get(key_img)
+        if prior is None:
+            by_image[key_img] = (key_class, word)
+        elif prior[0] != key_class:
+            return EmbeddingReport(
+                False, count, len(by_class), (prior[1], word),
+                "equal images but inequivalent words",
+            )
+        prior_class = by_class.get(key_class)
+        if prior_class is None:
+            by_class[key_class] = (word, key_img)
+        elif prior_class[1] != key_img:
+            return EmbeddingReport(
+                False, count, len(by_class), (prior_class[0], word),
+                "equivalent words with different images",
+            )
+    return EmbeddingReport(True, count, len(by_class), None, "")
 
 
 def fraction_kernel_vector(rows, ncols):

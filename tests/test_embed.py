@@ -1,12 +1,15 @@
 """Embeddings into a product of two free monoids, and their bounded verification.
 
-The letter images and the class keys of the bounded verification are
-checked exhaustively on every embeddable alphabet of at most five letters
-against the oracles: the embeddings built word by word, behind the recipe
-check that tries every pair, and the dependence stacks built by projection.
+The letter images and the class keys of the word-by-word reference
+verification are checked exhaustively on every embeddable alphabet of at
+most five letters against the oracles: the embeddings built word by word,
+behind the recipe check that tries every pair, and the dependence stacks
+built by projection.  The bounded verification, which enumerates only
+normal forms, must return the reference's report field for field.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +32,16 @@ from quemon import (
     trace_equivalent,
     verify_embedding_bounded,
 )
-from quemon.embed import _words_with_keys
 
-from oracles import binary_decode, binary_encode, bipartite_embedding, dependence_stacks, eta_matching
+from oracles import (
+    _words_with_keys,
+    binary_decode,
+    binary_encode,
+    bipartite_embedding,
+    dependence_stacks,
+    eta_matching,
+    keyed_verify_embedding_bounded,
+)
 
 PAIR = IndependenceAlphabet(("a", "b"), [("a", "b")])
 MATCHING = IndependenceAlphabet(
@@ -280,3 +290,38 @@ def test_class_keys_split_words_up_to_5_as_the_dependence_stacks():
         assert len(pairs) == len({key for key, _ in pairs}) == len({s for _, s in pairs}), g
         for w, _, img in seen[: 1 + len(g.letters) + len(g.letters) ** 2]:
             assert ProductWord(*img) == embed_to_two_free(g, TraceWord(g, w))
+
+
+# -- the normal-form enumeration against the word-by-word reference -----------
+
+def _random_images(rng, g, symbols, longest):
+    def side():
+        return tuple(rng.choice(symbols) for _ in range(rng.randrange(longest + 1)))
+    return {x: ProductWord(side(), side()) for x in g.letters}
+
+
+def test_verify_equals_the_word_by_word_reference_up_to_4_letters():
+    # images over one symbol commute: two dependent letters collide at
+    # length 2, but on a complete graph the first collision can lie beyond
+    # it, where words_checked is the rank of a normal form; images over
+    # {a, b}, empty ones too, mostly fail at length 1 or 2
+    rng = random.Random(13)
+    past_2 = 0
+    for g in all_graphs(4):
+        complete = all(g.independent(x, y) for x, y in itertools.combinations(g.letters, 2))
+        cases = [letter_images(g)] if isinstance(decide_embeddable(g), Embeddable) else []
+        cases += [_random_images(rng, g, "x", 3) for _ in range(12 if complete else 3)]
+        cases += [_random_images(rng, g, "ab", 2) for _ in range(3)]
+        for images in cases:
+            for n in range(6):
+                want = keyed_verify_embedding_bounded(g, images, n)
+                assert verify_embedding_bounded(g, images, n) == want, (g, images, n)
+                past_2 += not want.ok and len(want.counterexample[1]) > 2
+    assert past_2 >= 10
+
+
+def test_verify_equals_the_reference_on_every_embeddable_alphabet_up_to_5_letters():
+    for g, _ in EMBEDDABLE:
+        images = letter_images(g)
+        for n in range(5):
+            assert verify_embedding_bounded(g, images, n) == keyed_verify_embedding_bounded(g, images, n), (g, n)

@@ -16,9 +16,10 @@ with hypothesis on graphs of 30 to 300 letters around a high-degree core,
 with words of up to 2,000 letters.  The last tests keep every kernel
 linear: at 64,000 actions or letters, or 16,000-letter alphabets, a
 quadratic version takes minutes, and the trace kernels stay under 64 MB
-on a 16,000-letter matching; and an embedding over a 4,000-letter
-alphabet is built once, in time linear in the alphabet and its letter
-images.
+on a 16,000-letter matching; the bounded verification on K(3,3) at
+length 7 pays per class, not per word, and stays under 32 MB; and an
+embedding over a 4,000-letter alphabet is built once, in time linear in
+the alphabet and its letter images.
 """
 
 import itertools
@@ -54,13 +55,14 @@ from quemon import (
     overlap,
     primitive_root,
     trace_equivalent,
+    verify_embedding_bounded,
 )
-from quemon.embed import _words_with_keys
 from quemon.trace import _offsets
 from quemon.words import match_step
 
 from oracles import (
     _stacks,
+    _words_with_keys,
     bfs_trace_class,
     fold_normal_form,
     greedy_lex_normal_form,
@@ -501,6 +503,7 @@ def test_edge_cases():
 
 CAP_S = 5.0  # each call below takes tens of milliseconds; quadratic code, minutes
 TRACE_PEAK_BYTES = 64 * 2**20
+VERIFY_PEAK_BYTES = 32 * 2**20
 
 
 def _timed(f, *args):
@@ -604,6 +607,23 @@ def test_decide_embeddable_stays_linear_at_16000_letters():
     verdict = _timed(decide_embeddable, IndependenceAlphabet(letters[:k], edges))
     assert isinstance(verdict, Embeddable)
     assert verdict.recipe.part1 == tuple(core) and len(verdict.recipe.isolated) == k - 2 - k // 2
+
+
+def test_verify_embedding_bounded_runs_per_class_on_k33_at_7():
+    # 335,923 words fall into 24,604 classes; keying and imaging every word
+    # takes seconds and peaks at 146 MB under tracemalloc
+    g = IndependenceAlphabet("abcdef", [(x, y) for x in "abc" for y in "def"])
+    images = letter_images(g)
+    want = (True, 335_923, 24_604, None, "")
+    assert _timed(verify_embedding_bounded, g, images, 7) == want
+    tracemalloc.start()
+    try:
+        report = verify_embedding_bounded(g, images, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == want
+    assert peak < VERIFY_PEAK_BYTES, peak
 
 
 def test_embedding_is_built_once_per_alphabet_at_4000_letters():
