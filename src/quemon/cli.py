@@ -6,14 +6,16 @@ violations, 4 when `embed` is given a non-embeddable alphabet, 5 when a
 computation stops at runtime: a witness equation would exceed its size cap
 or fails its check, or an internal self-check fails.
 
-Each command returns its JSON payload and its text line; `main` prints one
-of them, once, after the command has finished.
+`_build_parser` declares each command once, with its handler.  A handler
+returns its JSON payload and its text line; `main` prints one of them, once,
+after the handler has finished.
 
 A quemon process runs one command, so this module imports at load time only
 argparse, the exceptions and the queue parsing and formatting helpers.
 Each command imports what it runs: alphabets, traces and embeddings for
 `decide`, `traceeq`, `lexnf`, `embed` and `--alphabet`; the witness
-builders only for `witness`; json only when a payload is printed.
+builders only for `witness`; heapq only when `eq` searches for a queue;
+json only when a payload is printed.
 """
 
 from __future__ import annotations
@@ -56,79 +58,8 @@ _WITNESS_KINDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quemon",
-        description="Queue monoid computations, trace monoids, and embeddings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    def add_queue_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--alphabet",
-            metavar="FILE",
-            help="independence alphabet JSON declaring the letters",
-        )
-
-    p = add("decide", "decide embeddability of an independence alphabet")
-    p.add_argument("file", help="independence alphabet JSON")
-
-    p = add("nf", "normal form of a queue word")
-    add_queue_flags(p)
-    p.add_argument("word")
-
-    p = add("mul", "normal form of the product of two queue words")
-    add_queue_flags(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = add("eq", "decide equivalence of two queue words")
-    add_queue_flags(p)
-    p.add_argument(
-        "--max-len",
-        type=int,
-        default=8,
-        metavar="N",
-        help="bound for the distinguishing-queue search (default 8); it stops "
-        "earlier, at M + 1, where M is the larger number of reads in the two words",
-    )
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = add("action", "apply a queue word to a queue state")
-    add_queue_flags(p)
-    p.add_argument("queue", help="initial queue contents (may be empty)")
-    p.add_argument("word")
-
-    p = add("traceeq", "decide trace equivalence over an independence alphabet")
-    p.add_argument("file", help="independence alphabet JSON")
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = add("lexnf", "lexicographic trace normal form")
-    p.add_argument("file", help="independence alphabet JSON")
-    p.add_argument("word")
-
-    p = add("embed", "embed a word into a product of two free monoids")
-    p.add_argument("file", help="independence alphabet JSON")
-    p.add_argument("word")
-
-    p = add("witness", "generate a verified witness equation (JSON)")
-    p.set_defaults(json=True)  # the report is printed as JSON only
-    add_queue_flags(p)
-    p.add_argument("kind", choices=sorted(_WITNESS_KINDS))
-    p.add_argument("args", nargs="*", help="queue words and root words per kind")
-
-    return parser
-
-
 def _letters(ns: argparse.Namespace) -> tuple[str, ...]:
-    if getattr(ns, "alphabet", None):
+    if ns.alphabet:
         from .alphabet import IndependenceAlphabet
 
         return IndependenceAlphabet.load(ns.alphabet).letters
@@ -232,8 +163,15 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     The queue's letters are those of u and v plus the least letter of the
     alphabet that neither uses: such a letter blocks every read, so it
     separates a word that reads what it wrote (a~a) from the empty word.
-    Candidates are generated one at a time, so memory stays bounded
-    whatever max_len is; the time is up to |letters|^(M+1) actions.
+    Only queues that agree with the reads of u or of v are tried: writes go
+    to the back, so the i-th read of u takes q[i] while i < |q|, and on a
+    queue that differs from neg u and from neg v within their common length
+    both words end at BOTTOM.  At length n that leaves, for each read word
+    s, the prefix s[:n] or the cone s.A^(n-|s|), merged in letter order.
+    Inside the cone of s the word reading s is defined on every queue, and
+    the other word only on the queues that agree with its own reads, so the
+    search tries O(M + |letters|) queues, each in O(|u| + |v|) time, and
+    holds one of them at a time whatever max_len is.
 
     The search stops at length min(max_len, M + 1), M = max(|neg u|, |neg v|):
     a separating queue, if there is one, has length <= M + 1.  Proof: with
@@ -247,12 +185,21 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     Otherwise neg v.z separates them exactly when z and y do not commute;
     then some letter x of z does not commute with y, and neg v.x separates.
     """
+    import heapq
+
     used = {action_letter(a) for a in u} | {action_letter(a) for a in v}
     extra = min((x for x in alphabet if x not in used), default=None)
     letters = sorted(used if extra is None else used | {extra})
-    bound = min(max_len, max(len(project_neg(u)), len(project_neg(v))) + 1)
+    reads = (project_neg(u), project_neg(v))
+    bound = min(max_len, max(map(len, reads)) + 1)
     for n in range(bound + 1):
-        for q in itertools.product(letters, repeat=n):
+        # a bound method per cone: a generator over s would see only the last s
+        candidates = [
+            (s[:n],) if n <= len(s)
+            else map(s.__add__, itertools.product(letters, repeat=n - len(s)))
+            for s in reads
+        ]
+        for q in heapq.merge(*candidates):
             if action(q, u) != action(q, v):
                 return q
     return None
@@ -270,15 +217,10 @@ def _cmd_eq(ns: argparse.Namespace) -> tuple[object, str]:
     if queue is None:
         text = f"DISTINGUISHED: no separating queue up to length {ns.max_len}"
         return {"equivalent": False, "queue": None}, text
-    lhs = format_state(action(queue, u))
-    rhs = format_state(action(queue, v))
-    payload = {
-        "equivalent": False,
-        "queue": format_word(queue),
-        "lhs": lhs,
-        "rhs": rhs,
-    }
-    return payload, f"DISTINGUISHED queue='{format_word(queue)}' lhs={lhs} rhs={rhs}"
+    shown = format_word(queue)
+    lhs, rhs = format_state(action(queue, u)), format_state(action(queue, v))
+    payload = {"equivalent": False, "queue": shown, "lhs": lhs, "rhs": rhs}
+    return payload, f"DISTINGUISHED queue='{shown}' lhs={lhs} rhs={rhs}"
 
 
 def _cmd_action(ns: argparse.Namespace) -> tuple[object, str]:
@@ -289,42 +231,38 @@ def _cmd_action(ns: argparse.Namespace) -> tuple[object, str]:
     return {"state": state}, state
 
 
-def _cmd_traceeq(ns: argparse.Namespace) -> tuple[object, str]:
+def _trace_words(ns: argparse.Namespace, *texts: str) -> tuple:
+    """The alphabet in ns.file, then a TraceWord over it for each text."""
     from .alphabet import IndependenceAlphabet
-    from .trace import TraceWord, trace_equivalent
+    from .trace import TraceWord
 
     g = IndependenceAlphabet.load(ns.file)
-    u = TraceWord(g, parse_word(ns.word1, g.letters))
-    v = TraceWord(g, parse_word(ns.word2, g.letters))
+    return g, *(TraceWord(g, parse_word(text, g.letters)) for text in texts)
+
+
+def _cmd_traceeq(ns: argparse.Namespace) -> tuple[object, str]:
+    from .trace import trace_equivalent
+
+    _, u, v = _trace_words(ns, ns.word1, ns.word2)
     eq = trace_equivalent(u, v)
     return {"equivalent": eq}, "EQUIVALENT" if eq else "NOT EQUIVALENT"
 
 
 def _cmd_lexnf(ns: argparse.Namespace) -> tuple[object, str]:
-    from .alphabet import IndependenceAlphabet
-    from .trace import TraceWord, lex_normal_form
+    from .trace import lex_normal_form
 
-    g = IndependenceAlphabet.load(ns.file)
-    u = TraceWord(g, parse_word(ns.word, g.letters))
+    _, u = _trace_words(ns, ns.word)
     nf = format_word(lex_normal_form(u).word)
     return {"word": nf}, nf
 
 
 def _cmd_embed(ns: argparse.Namespace) -> tuple[object, str]:
-    from .alphabet import IndependenceAlphabet
     from .embed import embed_to_two_free
-    from .trace import TraceWord
 
-    g = IndependenceAlphabet.load(ns.file)
-    u = TraceWord(g, parse_word(ns.word, g.letters))
-    image = embed_to_two_free(g, u)
-    text = f"({format_word(image.first)} | {format_word(image.second)})"
-    payload = {
-        "first": format_word(image.first),
-        "second": format_word(image.second),
-        "text": text,
-    }
-    return payload, text
+    g, u = _trace_words(ns, ns.word)
+    first, second = map(format_word, embed_to_two_free(g, u))
+    text = f"({first} | {second})"
+    return {"first": first, "second": second, "text": text}, text
 
 
 def _cmd_witness(ns: argparse.Namespace) -> tuple[object, None]:
@@ -349,24 +287,66 @@ def _cmd_witness(ns: argparse.Namespace) -> tuple[object, None]:
     return getattr(witness, builder)(*args).to_json(), None
 
 
-_COMMANDS = {
-    "decide": _cmd_decide,
-    "nf": _cmd_nf,
-    "mul": _cmd_mul,
-    "eq": _cmd_eq,
-    "action": _cmd_action,
-    "traceeq": _cmd_traceeq,
-    "lexnf": _cmd_lexnf,
-    "embed": _cmd_embed,
-    "witness": _cmd_witness,
+# help of the positionals that have one, by dest
+_POSITIONAL_HELP = {
+    "file": "independence alphabet JSON",
+    "queue": "initial queue contents (may be empty)",
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="quemon",
+        description="Queue monoid computations, trace monoids, and embeddings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, help_text, *positionals, letters=False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=handler)
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if letters:
+            p.add_argument(
+                "--alphabet",
+                metavar="FILE",
+                help="independence alphabet JSON declaring the letters",
+            )
+        for dest in positionals:
+            p.add_argument(dest, help=_POSITIONAL_HELP.get(dest))
+        return p
+
+    add("decide", _cmd_decide, "decide embeddability of an independence alphabet", "file")
+    add("nf", _cmd_nf, "normal form of a queue word", "word", letters=True)
+    add("mul", _cmd_mul, "normal form of the product of two queue words", "word1", "word2",
+        letters=True)
+    p = add("eq", _cmd_eq, "decide equivalence of two queue words", "word1", "word2", letters=True)
+    p.add_argument(
+        "--max-len",
+        type=int,
+        default=8,
+        metavar="N",
+        help="bound for the distinguishing-queue search (default 8); it stops "
+        "earlier, at M + 1, where M is the larger number of reads in the two words",
+    )
+    add("action", _cmd_action, "apply a queue word to a queue state", "queue", "word",
+        letters=True)
+    add("traceeq", _cmd_traceeq, "decide trace equivalence over an independence alphabet",
+        "file", "word1", "word2")
+    add("lexnf", _cmd_lexnf, "lexicographic trace normal form", "file", "word")
+    add("embed", _cmd_embed, "embed a word into a product of two free monoids", "file", "word")
+    p = add("witness", _cmd_witness, "generate a verified witness equation (JSON)", letters=True)
+    p.set_defaults(json=True)  # the report is printed as JSON only
+    p.add_argument("kind", choices=sorted(_WITNESS_KINDS))
+    p.add_argument("args", nargs="*", help="queue words and root words per kind")
+
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        payload, text = _COMMANDS[ns.command](ns)
+        payload, text = ns.run(ns)
     except NotEmbeddableError as exc:
         print(f"not embeddable: {_describe(exc.args[0])[1]}", file=sys.stderr)
         return 4

@@ -11,6 +11,7 @@ CapExceededError before it is built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -143,7 +144,11 @@ def _power_product(factors: Sequence[QueueWord], exponents: Sequence[int]) -> Qu
     return sum(map(mul, factors, exponents), ())
 
 
-def _verify(kind: str, x, y, lhs: QueueWord, rhs: QueueWord) -> WitnessReport:
+def _verify(kind: str, x, y, lhs: tuple, rhs: tuple) -> WitnessReport:
+    """The report on lhs = rhs, each side given as (factors, exponents) and
+    built by _power_product; raises VerificationFailedError unless the two
+    sides are equivalent."""
+    lhs, rhs = _power_product(*lhs), _power_product(*rhs)
     if not equivalent(lhs, rhs):
         raise VerificationFailedError(
             f"{kind} equation failed its normal-form check: "
@@ -172,9 +177,9 @@ def p2p3_witness(u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:
     x_v, x_w = _p2p3_exponents(a_v, a_w, b_v, b_w)
     reads = len(project_neg(v)) * x_v + len(project_neg(w)) * x_w
     x_u = -(-reads // len(u))
-    lhs = _power_product((u, v, u, w), (x_u, x_v, 1, x_w))
-    rhs = _power_product((u, w, u, v), (x_u, x_w, 1, x_v))
-    report = _verify("p2p3", (x_u, x_v, x_w), (x_u, x_v, x_w), lhs, rhs)
+    x = (x_u, x_v, x_w)
+    report = _verify("p2p3", x, x, ((u, v, u, w), (x_u, x_v, 1, x_w)),
+                     ((u, w, u, v), (x_u, x_w, 1, x_v)))
     if x_v + x_w == 0:
         raise InternalError("trivial exponents for v and w")
     return report
@@ -202,20 +207,15 @@ def _p2p3_exponents(a_v: int, a_w: int, b_v: int, b_w: int) -> tuple[int, int]:
 def _common_root_exponents(first: Word, second: Word) -> tuple[int, int]:
     """Exponents of both words over their shared primitive root.
 
-    An empty projection contributes exponent zero; words known to commute
-    always share a root, so a mismatch is an internal error.
+    An empty projection is the zeroth power of any root, the empty one when
+    both are empty; words known to commute always share a root, so a
+    mismatch is an internal error.
     """
-    if first and second:
-        root, e1 = primitive_root(first)
-        e2 = power_exponent(second, root)
-        if e2 is None:
-            raise InternalError("commuting projections with different roots")
-        return e1, e2
-    if first:
-        return primitive_root(first)[1], 0
-    if second:
-        return 0, primitive_root(second)[1]
-    return 0, 0
+    root = primitive_root(first or second)[0] if first or second else ()
+    e1, e2 = power_exponent(first, root), power_exponent(second, root)
+    if e2 is None:
+        raise InternalError("commuting projections with different roots")
+    return e1, e2
 
 
 def nonconjugated_witness(
@@ -242,9 +242,7 @@ def nonconjugated_witness(
     n = _long_enough_shift(a, b, x0, y0, len(p), len(q))
     xs = tuple(e + n for e in x0)
     ys = tuple(e + n for e in y0)
-    lhs = _power_product((u, v, w), xs)
-    rhs = _power_product((u, v, w), ys)
-    report = _verify("nonconjugated", xs, ys, lhs, rhs)
+    report = _verify("nonconjugated", xs, ys, ((u, v, w), xs), ((u, v, w), ys))
     if xs == ys:
         raise InternalError("exponent vectors collapsed")
     return report
@@ -379,22 +377,16 @@ def conjugated_witness(
     words = (u, v, w)
     profiles = tuple(conjugacy_profile(normal_form(x), dec) for x in words)
 
-    if all(a == b for a, b, _ in profiles):
-        name, idx, coord = "trivial", (0, 1, 2), None
-    else:
-        for name, idx in _ROTATIONS:
-            a, b, _ = profiles[idx[0]]
-            if a > b:
-                coord = 0
+    name, idx, coord = "trivial", (0, 1, 2), None
+    if any(a != b for a, b, _ in profiles):
+        # the first rotation whose first factor writes more than it reads,
+        # else the first whose last factor reads more than it writes
+        for coord, (name, idx) in itertools.product((0, 2), _ROTATIONS):
+            a, b, _ = profiles[idx[coord]]
+            if a > b if coord == 0 else a < b:
                 break
         else:
-            for name, idx in _ROTATIONS:
-                a, b, _ = profiles[idx[2]]
-                if a < b:
-                    coord = 2
-                    break
-            else:
-                raise InternalError("no rotation applicable to unbalanced input")
+            raise InternalError("no rotation applicable to unbalanced input")
 
     rwords = tuple(words[i] for i in idx)
     rprof = tuple(profiles[i] for i in idx)
@@ -406,9 +398,7 @@ def conjugated_witness(
     if mixed_exponent(dec, rprof, x) != mixed_exponent(dec, rprof, y):
         raise InternalError("center exponents of the two sides disagree")
 
-    lhs = _power_product(rwords, x)
-    rhs = _power_product(rwords, y)
-    report = _verify(f"conjugated:{name}", x, y, lhs, rhs)
+    report = _verify(f"conjugated:{name}", x, y, (rwords, x), (rwords, y))
     if x == y:
         raise InternalError("exponent vectors collapsed")
     return report
@@ -444,9 +434,8 @@ def p4_witness(t: QueueWord, u: QueueWord, v: QueueWord, w: QueueWord) -> Witnes
     )
     x_u1 = -(-reads // len(u))
     x = (a_u, x_u1, a_t, b_w, b_v)
-    lhs = _power_product((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t))
-    rhs = _power_product((u, w, u, w, t, v), (x_u1, 1, a_t, b_v, a_u, b_w))
-    report = _verify("p4", x, None, lhs, rhs)
+    report = _verify("p4", x, None, ((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t)),
+                     ((u, w, u, w, t, v), (x_u1, 1, a_t, b_v, a_u, b_w)))
     if a_u == 0 or b_v == 0:
         raise InternalError("trivial exponents for t and w")
     return report

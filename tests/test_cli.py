@@ -1,5 +1,6 @@
 """Command-line interface: output formats, JSON payloads, exit codes."""
 
+import argparse
 import io
 import itertools
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import quemon
 from quemon import parse_queue_word, project_neg
-from quemon.cli import _distinguishing_queue, main
+from quemon.cli import _build_parser, _distinguishing_queue, main
 
 from oracles import list_distinguishing_queue, parse_normal_form
 
@@ -152,9 +153,10 @@ def test_eq_over_one_letter_ends_at_a_huge_bound(capsys, tmp_path):
 
 
 def test_distinguishing_queue_memory_stays_bounded():
-    # no queue of length <= 5 separates these, so the search sees all 19,608
-    # candidates over a-f and the unused g; holding a level of them as a
-    # list took megabytes
+    # no queue of length <= 5 separates these, so the search runs to its
+    # bound, trying only prefixes of the two read words; a search that held
+    # a level of all 19,608 queues over a-f and the unused g as a list took
+    # megabytes
     u = parse_queue_word("~a~b~c~d~e~f")
     v = parse_queue_word("~a~b~c~d~e~a")
     tracemalloc.start()
@@ -169,6 +171,13 @@ def test_distinguishing_queue_memory_stays_bounded():
 def test_eq_finds_a_long_separating_queue(capsys):
     code, out, _ = run(capsys, "eq", "~a~b~c~d~e~f~g~h", "~a~b~c~d~e~f~g~a")
     assert (code, out) == (0, "DISTINGUISHED queue='abcdefga' lhs=BOTTOM rhs=\n")
+    # trying every queue over a-i and the unused j up to length 8 took 80 s
+    for bound, out in (([], "DISTINGUISHED: no separating queue up to length 8\n"),
+                       (["--max-len", "9"], "DISTINGUISHED queue='abcdefgha' lhs=BOTTOM rhs=\n")):
+        start = time.perf_counter()
+        result = run(capsys, "eq", *bound, "~a~b~c~d~e~f~g~h~i", "~a~b~c~d~e~f~g~h~a")
+        assert time.perf_counter() - start < 2, bound
+        assert result == (0, out, ""), bound
 
 
 def test_action(capsys):
@@ -443,3 +452,87 @@ def test_output_is_stable_across_runs(capsys, k3):
     first = run(capsys, "witness", "p4", "a", "a", "~b", "~b")
     second = run(capsys, "witness", "p4", "a", "a", "~b", "~b")
     assert first == second
+
+
+# -- parser ------------------------------------------------------------------------
+
+def _parser_pin(parser, help_text=None):
+    """prog -> (description, help, actions) for parser and the parser of each
+    of its subcommands, each action as (class, option strings, dest, nargs,
+    choices, default, metavar, help, type), optionals first as --help lists
+    them.  Fields, not help text: argparse headings differ between Python
+    versions."""
+    actions = sorted(parser._actions, key=lambda a: not a.option_strings)
+    pin = {parser.prog: (parser.description, help_text, [
+        (type(a).__name__, a.option_strings, a.dest, a.nargs,
+         None if a.choices is None else list(a.choices), a.default, a.metavar, a.help,
+         getattr(a.type, "__name__", a.type))
+        for a in actions
+    ])}
+    for a in actions:
+        if isinstance(a, argparse._SubParsersAction):
+            helps = {choice.dest: choice.help for choice in a._choices_actions}
+            for name, sub in a.choices.items():
+                pin.update(_parser_pin(sub, helps[name]))
+    return pin
+
+
+HELP = ("_HelpAction", ["-h", "--help"], "help", 0, None, "==SUPPRESS==", None,
+        "show this help message and exit", None)
+JSON = ("_StoreTrueAction", ["--json"], "json", 0, None, False, None, "machine-readable output",
+        None)
+ALPHABET = ("_StoreAction", ["--alphabet"], "alphabet", None, None, None, "FILE",
+            "independence alphabet JSON declaring the letters", None)
+FILE = ("_StoreAction", [], "file", None, None, None, None, "independence alphabet JSON", None)
+WORD, WORD1, WORD2 = (("_StoreAction", [], dest, None, None, None, None, None, None)
+                      for dest in ("word", "word1", "word2"))
+
+PARSER_PIN = {
+    "quemon": ("Queue monoid computations, trace monoids, and embeddings.", None, [
+        HELP,
+        ("_SubParsersAction", [], "command", "A...",
+         ["decide", "nf", "mul", "eq", "action", "traceeq", "lexnf", "embed", "witness"],
+         None, None, None, None),
+    ]),
+    "quemon decide": (None, "decide embeddability of an independence alphabet",
+                      [HELP, JSON, FILE]),
+    "quemon nf": (None, "normal form of a queue word", [HELP, JSON, ALPHABET, WORD]),
+    "quemon mul": (None, "normal form of the product of two queue words",
+                   [HELP, JSON, ALPHABET, WORD1, WORD2]),
+    "quemon eq": (None, "decide equivalence of two queue words", [
+        HELP, JSON, ALPHABET,
+        ("_StoreAction", ["--max-len"], "max_len", None, None, 8, "N",
+         "bound for the distinguishing-queue search (default 8); it stops earlier, at M + 1, "
+         "where M is the larger number of reads in the two words", "int"),
+        WORD1, WORD2,
+    ]),
+    "quemon action": (None, "apply a queue word to a queue state", [
+        HELP, JSON, ALPHABET,
+        ("_StoreAction", [], "queue", None, None, None, None,
+         "initial queue contents (may be empty)", None),
+        WORD,
+    ]),
+    "quemon traceeq": (None, "decide trace equivalence over an independence alphabet",
+                       [HELP, JSON, FILE, WORD1, WORD2]),
+    "quemon lexnf": (None, "lexicographic trace normal form", [HELP, JSON, FILE, WORD]),
+    "quemon embed": (None, "embed a word into a product of two free monoids",
+                     [HELP, JSON, FILE, WORD]),
+    "quemon witness": (None, "generate a verified witness equation (JSON)", [
+        HELP,
+        ("_StoreTrueAction", ["--json"], "json", 0, None, True, None, "machine-readable output",
+         None),
+        ALPHABET,
+        ("_StoreAction", [], "kind", None, ["conjugated", "nonconjugated", "p2p3", "p4"],
+         None, None, None, None),
+        ("_StoreAction", [], "args", "*", None, None, None,
+         "queue words and root words per kind", None),
+    ]),
+}
+
+
+def test_parser_declares_every_option_as_before():
+    pin = _parser_pin(_build_parser())
+    assert list(pin) == list(PARSER_PIN)
+    for prog, (description, help_text, actions) in PARSER_PIN.items():
+        assert pin[prog][:2] == (description, help_text), prog
+        assert [tuple(row) for row in pin[prog][2]] == actions, prog
