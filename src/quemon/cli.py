@@ -301,7 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *positionals, letters=False) -> argparse.ArgumentParser:
+    def add(
+        name: str, handler, help_text: str, *positionals: str, letters: bool = False
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
