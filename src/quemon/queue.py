@@ -38,17 +38,23 @@ once over w, so it takes linear time.  A write costs one append to pos.  A
 read that continues the match lengthens it in place, a read that
 mismatches at length 0 leaves it at 0, and only a real fallback calls
 match_step, which builds the prefix function of pos as far as the
-fallback reaches.  multiply, power_mu and nf_power use the linear overlap
-of the words module, which advances its match the same way, and action
-keeps a head index into the queue instead of slicing it.
+fallback reaches.  multiply and power_mu use the linear overlap of the
+words module, which advances its match the same way, and action keeps a
+head index into the queue instead of slicing it.  power_mu, which nf_power
+calls, matches at most |neg x| + |pos x| letters whatever the exponent:
+by Fine and Wilf (1965), a match between powers of neg x and of pos x
+that is at least |neg x| + |pos x| - gcd(|neg x|, |pos x|) letters long
+has the gcd as a period, and from there on arithmetic on the primitive
+period gives the center.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Collection, NamedTuple, Union
 
 from .errors import InternalError, ParseError, PreconditionError
-from .words import Letter, Word, match_step, overlap
+from .words import Letter, Word, match_step, overlap, primitive_root
 
 Action = str  # 'x' writes letter x, '~x' reads letter x
 QueueWord = tuple[Action, ...]
@@ -180,7 +186,9 @@ def nf_power(x: QueueNormalForm, n: int) -> QueueNormalForm:
     """n-th power of a class given in normal form, n >= 0.
 
     The projections of x^n are neg(x)^n and pos(x)^n, and its center is
-    power_mu(x, n), so the power costs O(n |x|) with no repeated products.
+    power_mu(x, n), which matches at most |neg x| + |pos x| letters
+    whatever n, so the power costs O(n |x|), spent building its output,
+    with no repeated products.
     """
     if n < 0:
         raise PreconditionError("exponent must be nonnegative")
@@ -192,11 +200,34 @@ def nf_power(x: QueueNormalForm, n: int) -> QueueNormalForm:
 def power_mu(x: QueueNormalForm, n: int) -> Word:
     """Center of the n-th power, computed in closed form, n >= 1.
 
-    center(x^n) = overlap(center(x) . neg(x)^(n-1), pos(x)^(n-1) . center(x)).
+    center(x^n) = overlap(center(x) . neg(x)^(n-1), pos(x)^(n-1) . center(x)):
+    with N = neg(x) and P = pos(x), the longest k <= m = |center(x)| +
+    (n-1) min(|N|, |P|) for which the last k letters of N^n equal the first
+    k of P^n.  Only k <= |N| + |P| are matched, whatever n.  By Fine and
+    Wilf (1965), a match of at least |N| + |P| - g letters, g = gcd(|N|,
+    |P|), has the period g, so N and P are powers of conjugate words of
+    length g.  The rotations of a primitive word differ, so the longer
+    matches are those longer by a multiple of p, the length of the
+    primitive root of P[:g].  The step is p, not g: in <a|a|a>^3, g = 2,
+    p = 1, and the match of length 4 extends to the center a^5.  A shorter
+    match is the center: a longer one would imply a match of at least
+    |N| + |P| - g letters among those matched.
     """
     if n < 1:
         raise PreconditionError("exponent must be positive")
-    return overlap(x.center + x.neg() * (n - 1), x.pos() * (n - 1) + x.center)
+    neg, pos = x.neg(), x.pos()
+    m = len(x.center) + (n - 1) * min(len(neg), len(pos))
+    span = len(neg) + len(pos)
+    cut = min(m, span)
+    if not cut:  # m is 0 when neg or pos is empty
+        return ()
+    head = (pos * -(-cut // len(pos)))[:cut]
+    k = len(overlap((neg * -(-cut // len(neg)))[-cut:], head))
+    g = gcd(len(neg), len(pos))
+    if k >= span - g:
+        p = len(primitive_root(head[:g])[0])
+        k += (m - k) // p * p
+    return (pos * -(-k // len(pos)))[:k]
 
 
 def equivalent(u: QueueWord, v: QueueWord) -> bool:

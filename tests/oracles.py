@@ -4,9 +4,11 @@ and the brute-force oracles the tests check the library against.
 These are the straightforward quadratic versions that the linear kernels in
 quemon replaced: the prefix function and the overlap by scanning every
 length, the normal form as a fold of the
-product over single actions, the power as an n-fold product, the action by
-slicing the queue, the conjugacy split by trying every rotation, the trace
-normal form by greedy rescans, trace equivalence by projections onto
+product over single actions, the power as an n-fold product, its center
+by one overlap of the full n-fold sides (through the library's overlap),
+the action by slicing the queue, the conjugacy split by trying every
+rotation, the trace normal form by greedy rescans, trace equivalence by
+projections onto
 every dependent pair, the dependence stacks by one projection per letter
 and by one push per position and dependent letter, with the normal form
 that pops them through a heap and the equivalence that compares them,
@@ -109,6 +111,12 @@ def iterated_nf_power(x, n):
     for _ in range(n):
         out = scan_multiply(out, x)
     return out
+
+
+def overlap_power_mu(x, n):
+    """Center of the n-th power, n >= 1, by matching all n |x| letters:
+    overlap(center . neg^(n-1), pos^(n-1) . center)."""
+    return overlap(x.center + x.neg() * (n - 1), x.pos() * (n - 1) + x.center)
 
 
 def slicing_action(state, w):

@@ -6,7 +6,10 @@ are checked against the quadratic versions in oracles.py: exhaustively at
 small sizes, with hypothesis on longer words over one to three letters
 (where centers get long) and on near-periodic words of up to 400 actions
 (where a match runs for hundreds of letters before it falls back), and on
-the edge cases by hand.  lex_normal_form
+the edge cases by hand.  power_mu is checked against the overlap of the
+full n-fold sides, exhaustively and, with nf_power, on elements built from
+powers of a primitive root and its rotation, with n up to 3,000, where the
+match is extended by the primitive period.  lex_normal_form
 and trace_equivalent are checked against the greedy normal form, the
 pairwise-projection test and bfs_trace_class: exhaustively on small
 independence graphs, with hypothesis on random graphs of 8 to 28 letters.
@@ -15,8 +18,9 @@ on every graph over four letters with every word of length up to 5, and
 with hypothesis on graphs of 30 to 300 letters around a high-degree core,
 with words of up to 2,000 letters.  The last tests keep every kernel
 linear: at 64,000 actions or letters, or 16,000-letter alphabets, a
-quadratic version takes minutes, and the trace kernels stay under 64 MB
-on a 16,000-letter matching; the bounded verification on K(3,3) at
+quadratic version takes minutes, and power_mu at n = 10^9 matches only
+|neg x| + |pos x| letters; the trace kernels stay under 64 MB on a
+16,000-letter matching; the bounded verification on K(3,3) at
 length 7 pays per class, not per word, and stays under 32 MB; and an
 embedding over a 4,000-letter alphabet is built once, in time linear in
 the alphabet and its letter images.
@@ -53,6 +57,7 @@ from quemon import (
     nf_power,
     normal_form,
     overlap,
+    power_mu,
     primitive_root,
     trace_equivalent,
     verify_embedding_bounded,
@@ -67,6 +72,7 @@ from oracles import (
     fold_normal_form,
     greedy_lex_normal_form,
     iterated_nf_power,
+    overlap_power_mu,
     projection_equivalent,
     scan_conjugacy_split,
     scan_overlap,
@@ -148,6 +154,15 @@ def test_nf_power_matches_iterated_product_up_to_5():
         x = normal_form(w)
         for n in range(7):
             assert nf_power(x, n) == iterated_nf_power(x, n), (w, n)
+
+
+def test_power_mu_matches_overlap_up_to_6():
+    for w in words_up_to(6, ACTIONS):
+        x = normal_form(w)
+        for n in range(1, 13):
+            assert power_mu(x, n) == overlap_power_mu(x, n), (w, n)
+    # the primitive period 1 is shorter than gcd(|neg|, |pos|) = 2
+    assert power_mu(QueueNormalForm(("a",), ("a",), ("a",)), 3) == ("a",) * 5
 
 
 def test_action_matches_slicing_up_to_6():
@@ -269,6 +284,35 @@ def test_overlap_matches_scan_on_long_words(u, v):
 def test_nf_power_matches_iterated_product_on_long_words(w, n):
     x = normal_form(w)
     assert nf_power(x, n) == iterated_nf_power(x, n)
+
+
+@st.composite
+def periodic_elements(draw):
+    """A normal form whose three parts are powers of one primitive root or
+    of one rotation of it, with 0 to 2 stray letters inserted, and an
+    exponent up to 3,000.  neg and pos are then often powers of conjugate
+    words, where power_mu extends its match by the primitive period."""
+    root = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=6).map(tuple).filter(is_primitive))
+    i = draw(st.integers(0, len(root) - 1))
+    bases = (root, root[i:] + root[:i])
+    parts = [list(draw(st.sampled_from(bases)) * draw(st.integers(0, 5))) for _ in range(3)]
+    for _ in range(draw(st.integers(0, 2))):
+        part = draw(st.sampled_from(parts))
+        part.insert(draw(st.integers(0, len(part))), draw(st.sampled_from("abc")))
+    return QueueNormalForm(*map(tuple, parts)), draw(st.integers(1, 3_000))
+
+
+@given(periodic_elements())
+@settings(max_examples=300, deadline=None)
+def test_power_mu_matches_overlap_on_periodic_elements(xn):
+    x, n = xn
+    center = overlap_power_mu(x, n)
+    assert power_mu(x, n) == center
+    power = nf_power(x, n)
+    assert power.center == center
+    assert power.neg() == x.neg() * n and power.pos() == x.pos() * n
+    if n <= 20:
+        assert power == iterated_nf_power(x, n)
 
 
 @given(plain_words(max_size=20), long_queue_words())
@@ -532,6 +576,10 @@ def test_kernels_stay_linear_at_64000_actions():
     assert _timed(nf_power, x, 16_000) == QueueNormalForm((), ("a", "b") * 16_000, ())
     y = normal_form(("a", "b", "c", "~a"))
     assert _timed(nf_power, y, 16_000).center == ("a",)
+    # the center is matched on |neg| + |pos| letters whatever n: matching
+    # all n |x| of them would build tuples of 10^9 letters
+    assert _timed(power_mu, y, 10**9) == ("a",)
+    assert _timed(power_mu, QueueNormalForm(("a",), (), ("b", "c", "d")), 10**9) == ()
 
     state = _timed(action, r * 16_000, reads * 10_000 + r * 11_334)
     assert state == r * 17_334
