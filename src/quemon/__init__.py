@@ -1,10 +1,12 @@
 """Queue monoid computations, trace monoids, and embeddings into free products.
 
-The package has three layers: combinatorics on plain words (overlaps,
-primitive roots, conjugacy), the queue monoid itself (semantics, normal
-forms, closed-form multiplication), and independence alphabets with their
-trace monoids, the embeddability decision, explicit embeddings, and
-verified witness equations.
+The package has two halves.  The queue half is combinatorics on plain
+words (`words`: overlaps, primitive roots, conjugacy), the queue monoid
+itself (`queue`: semantics, normal forms, closed-form multiplication), and
+verified witness equations (`witness`).  The trace half is independence
+alphabets and the embeddability decision (`alphabet`), their trace monoids
+(`trace`), and explicit embeddings (`embed`).  Both import `errors`, neither
+imports the other, and they meet only in `cli`.
 
 `import quemon` loads no submodule.  Each public name below is imported
 from its submodule on first access (PEP 562) and then cached here, so a
@@ -17,7 +19,6 @@ _EXPORTS = {
     "alphabet": (
         "BipartiteRecipe",
         "Embeddable",
-        "GammaPartition",
         "IndependenceAlphabet",
         "MatchingRecipe",
         "MissingPair",
@@ -26,7 +27,6 @@ _EXPORTS = {
         "OddCycle",
         "TwoNontrivialComponents",
         "decide_embeddable",
-        "gamma_partition",
     ),
     "embed": (
         "EmbeddingReport",
@@ -47,7 +47,6 @@ _EXPORTS = {
         "ParseError",
         "PreconditionError",
         "RecipeMismatchError",
-        "RootMismatchError",
         "VerificationFailedError",
     ),
     "queue": (
@@ -76,9 +75,11 @@ _EXPORTS = {
         "trace_equivalent",
     ),
     "witness": (
+        "GammaPartition",
         "WitnessReport",
         "conjugacy_profile",
         "conjugated_witness",
+        "gamma_partition",
         "mixed_exponent",
         "nonconjugated_witness",
         "p2p3_witness",

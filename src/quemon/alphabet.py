@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import IdentityImageError, ParseError
-from .queue import QueueWord, project_neg, project_pos
-from .words import Letter
+from .errors import ParseError
+
+if TYPE_CHECKING:
+    from .words import Letter
 
 # characters that the word and normal-form syntax reserve
 _RESERVED = re.compile(r"[\s~|<>]")
@@ -312,37 +313,3 @@ def decide_embeddable(g: IndependenceAlphabet) -> Classification:
     if len(part1) < len(part0):
         part0, part1 = part1, part0
     return Embeddable(BipartiteRecipe(part0, part1, isolated))
-
-
-# -- sign pattern of letter images in the queue monoid -----------------------
-
-class GammaPartition(NamedTuple):
-    """Letters split by which projections of their image are nonempty."""
-
-    plus: tuple[Letter, ...]
-    minus: tuple[Letter, ...]
-    plusminus: tuple[Letter, ...]
-
-
-def gamma_partition(images: Mapping[Letter, QueueWord]) -> GammaPartition:
-    """Partition letters by the projections of their queue-monoid images.
-
-    'plus' collects letters whose image only writes, 'minus' those whose
-    image only reads, 'plusminus' the rest.  Images equivalent to the
-    identity are rejected.
-    """
-    plus: list[Letter] = []
-    minus: list[Letter] = []
-    both: list[Letter] = []
-    for x, w in images.items():
-        has_pos = bool(project_pos(w))
-        has_neg = bool(project_neg(w))
-        if not has_pos and not has_neg:
-            raise IdentityImageError(f"image of {x!r} is the identity")
-        if has_pos and has_neg:
-            both.append(x)
-        elif has_pos:
-            plus.append(x)
-        else:
-            minus.append(x)
-    return GammaPartition(tuple(plus), tuple(minus), tuple(both))

@@ -45,10 +45,10 @@ from .alphabet import (
     decide_embeddable,
 )
 from .errors import NotEmbeddableError, RecipeMismatchError
-from .words import Letter, Word
 
 if TYPE_CHECKING:
     from .trace import TraceWord
+    from .words import Letter, Word
 
 
 class ProductWord(NamedTuple):

@@ -25,10 +25,6 @@ class RecipeMismatchError(PreconditionError):
     """An embedding recipe does not fit the alphabet or word it is applied to."""
 
 
-class RootMismatchError(PreconditionError):
-    """A projection was expected to be a power of a given primitive word."""
-
-
 class DegenerateSystemError(PreconditionError):
     """The linear system has no usable nontrivial solution."""
 

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .alphabet import IndependenceAlphabet
 from .errors import AlphabetMismatchError, PreconditionError
-from .words import Letter, Word
+
+if TYPE_CHECKING:
+    from .words import Letter, Word
 
 
 class TraceWord:

@@ -6,7 +6,8 @@ two sides of an equation, and verifies the equation by normal forms before
 returning it.  A report with verified=False is never returned; a failed
 check raises VerificationFailedError instead.  Exponents can grow with the
 square of the input, so a side of more than 10**7 actions raises
-CapExceededError before it is built.
+CapExceededError before it is built.  gamma_partition sorts letter images
+by the sign classes that the hypotheses name: only writes, only reads, both.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
     DegenerateSystemError,
     EmptyWordError,
+    IdentityImageError,
     InternalError,
     PreconditionError,
-    RootMismatchError,
     VerificationFailedError,
 )
 from .queue import (
@@ -37,6 +38,7 @@ from .queue import (
 )
 from .words import (
     ConjugacyDecomposition,
+    Letter,
     Word,
     conjugacy_decomposition,
     is_primitive,
@@ -121,6 +123,40 @@ def solve_projection_system(
     if sum(bi * xi for bi, xi in zip(b, x)) != sum(bi * yi for bi, yi in zip(b, y)):
         raise InternalError("kernel vector fails the second row")
     return x, y  # type: ignore[return-value]
+
+
+# -- sign pattern of letter images in the queue monoid -----------------------
+
+class GammaPartition(NamedTuple):
+    """Letters split by which projections of their image are nonempty."""
+
+    plus: tuple[Letter, ...]
+    minus: tuple[Letter, ...]
+    plusminus: tuple[Letter, ...]
+
+
+def gamma_partition(images: Mapping[Letter, QueueWord]) -> GammaPartition:
+    """Partition letters by the projections of their queue-monoid images.
+
+    'plus' collects letters whose image only writes, 'minus' those whose
+    image only reads, 'plusminus' the rest.  Images equivalent to the
+    identity are rejected.
+    """
+    plus: list[Letter] = []
+    minus: list[Letter] = []
+    both: list[Letter] = []
+    for x, w in images.items():
+        has_pos = bool(project_pos(w))
+        has_neg = bool(project_neg(w))
+        if not has_pos and not has_neg:
+            raise IdentityImageError(f"image of {x!r} is the identity")
+        if has_pos and has_neg:
+            both.append(x)
+        elif has_pos:
+            plus.append(x)
+        else:
+            minus.append(x)
+    return GammaPartition(tuple(plus), tuple(minus), tuple(both))
 
 
 # -- witness builders ---------------------------------------------------------
@@ -311,11 +347,7 @@ def _mixed_rows(
     )
 
 
-def mixed_exponent(
-    dec: ConjugacyDecomposition,
-    profiles: Sequence[tuple[int, int, int]],
-    x: Sequence[int],
-) -> int:
+def mixed_exponent(profiles: Sequence[tuple[int, int, int]], x: Sequence[int]) -> int:
     """Exponent X with center(u^xu v^xv w^xw) = g q^X for conjugate roots.
 
     profiles lists (a, b, c) for the three factors as produced by
@@ -395,7 +427,7 @@ def conjugated_witness(
     x = tuple(e + k if i == coord else e for i, e in enumerate(x0))
     y = tuple(e + k if i == coord else e for i, e in enumerate(y0))
 
-    if mixed_exponent(dec, rprof, x) != mixed_exponent(dec, rprof, y):
+    if mixed_exponent(rprof, x) != mixed_exponent(rprof, y):
         raise InternalError("center exponents of the two sides disagree")
 
     report = _verify(f"conjugated:{name}", x, y, (rwords, x), (rwords, y))
@@ -418,14 +450,8 @@ def p4_witness(t: QueueWord, u: QueueWord, v: QueueWord, w: QueueWord) -> Witnes
     _require(equivalent(v + w, w + v), "v and w must commute")
     _require(equivalent(t + u, u + t), "t and u must commute")
 
-    p, a_u = primitive_root(project_pos(u))
-    q, b_v = primitive_root(project_neg(v))
-    a_t = power_exponent(project_pos(t), p)
-    if a_t is None:
-        raise RootMismatchError(f"write projection of t is not a power of {p!r}")
-    b_w = power_exponent(project_neg(w), q)
-    if b_w is None:
-        raise RootMismatchError(f"read projection of w is not a power of {q!r}")
+    a_u, a_t = _common_root_exponents(project_pos(u), project_pos(t))
+    b_v, b_w = _common_root_exponents(project_neg(v), project_neg(w))
 
     reads = (
         len(project_neg(v)) * b_w

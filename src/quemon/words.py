@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    EmptyWordError,
-    InternalError,
-    NotPrimitiveError,
-)
+from .errors import EmptyWordError, NotPrimitiveError
 
 Letter = str
 Word = tuple[Letter, ...]
@@ -96,10 +92,10 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     if not w:
         raise EmptyWordError("the empty word has no primitive root")
     n = len(w)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and w[:d] * (n // d) == w:
             return w[:d], n // d
-    raise InternalError("unreachable: every word is a power of itself")
+    return w, 1
 
 
 def is_primitive(w: Word) -> bool:

@@ -233,9 +233,7 @@ def test_06_mixed_center_exponent_matches_computed_centers():
                     multiply(powers[(iu, x[0])], powers[(iv, x[1])]),
                     powers[(iw, x[2])],
                 )
-                exp = mixed_exponent(
-                    dec, (profiles[iu], profiles[iv], profiles[iw]), x
-                )
+                exp = mixed_exponent((profiles[iu], profiles[iv], profiles[iw]), x)
                 assert prod.center == dec.g + q * exp, (dec, iu, iv, iw, x)
                 checks += 1
     print(f"PASS: mixed center exponent matches computed centers on {checks} products")

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from quemon import (
     BipartiteRecipe,
     Embeddable,
-    IdentityImageError,
     IndependenceAlphabet,
     MatchingRecipe,
     MissingPair,
@@ -27,7 +26,6 @@ from quemon import (
     format_normal_form,
     format_queue_word,
     format_word,
-    gamma_partition,
     parse_queue_word,
     parse_word,
 )
@@ -398,24 +396,3 @@ def test_decision_is_stable_under_relabeling():
                 [(relabel[u], relabel[v]) for u, v in g.edges],
             )
             assert isinstance(decide_embeddable(h), type(decide_embeddable(g)))
-
-
-# -- letter classification --------------------------------------------------------
-
-def test_gamma_partition():
-    from quemon import parse_queue_word
-
-    images = {
-        "a": parse_queue_word("cc"),
-        "b": parse_queue_word("~d"),
-        "c": parse_queue_word("c~d"),
-    }
-    part = gamma_partition(images)
-    assert part.plus == ("a",)
-    assert part.minus == ("b",)
-    assert part.plusminus == ("c",)
-
-
-def test_gamma_partition_rejects_identity_image():
-    with pytest.raises(IdentityImageError, match="a"):
-        gamma_partition({"a": ()})

@@ -86,6 +86,25 @@ def test_witness_loads_no_alphabet_code():
         assert name not in loaded, name
 
 
+def test_the_trace_half_loads_no_queue_code():
+    code = (
+        "import sys\n"
+        "from quemon.alphabet import IndependenceAlphabet, decide_embeddable\n"
+        "from quemon.trace import TraceWord, lex_normal_form\n"
+        "from quemon.embed import embed_to_two_free\n"
+        "g = IndependenceAlphabet('abc', [('a', 'b')])\n"
+        "decide_embeddable(g)\n"
+        "u = lex_normal_form(TraceWord(g, ('b', 'c', 'a')))\n"
+        "embed_to_two_free(g, u)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'quemon'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quemon.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert ast.literal_eval(out) == ["quemon", "quemon.alphabet", "quemon.embed",
+                                     "quemon.errors", "quemon.trace"]
+
+
 # -- lazy names ----------------------------------------------------------------
 
 def test_every_exported_name_is_the_submodule_object():

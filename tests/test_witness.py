@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from quemon import (
     ConjugacyDecomposition,
     DegenerateSystemError,
+    IdentityImageError,
     PreconditionError,
     WitnessReport,
     conjugacy_profile,
     conjugated_witness,
     equivalent,
     format_queue_word,
+    gamma_partition,
     mixed_exponent,
     nonconjugated_witness,
     normal_form,
@@ -288,19 +290,17 @@ def test_conjugacy_profile_examples():
 
 
 def test_mixed_exponent_examples():
-    dec = ConjugacyDecomposition((), parse_word("ab"))
-    assert mixed_exponent(dec, [(1, 1, 0)] * 3, (2, 2, 2)) == 5
-    assert mixed_exponent(dec, [(1, 1, 1)] * 3, (2, 2, 2)) == 6
+    assert mixed_exponent([(1, 1, 0)] * 3, (2, 2, 2)) == 5
+    assert mixed_exponent([(1, 1, 1)] * 3, (2, 2, 2)) == 6
 
 
 def test_mixed_exponent_preconditions():
-    dec = ConjugacyDecomposition((), parse_word("ab"))
     with pytest.raises(PreconditionError, match="at least 2"):
-        mixed_exponent(dec, [(1, 1, 0)] * 3, (2, 1, 2))
+        mixed_exponent([(1, 1, 0)] * 3, (2, 1, 2))
     with pytest.raises(PreconditionError, match="positive"):
-        mixed_exponent(dec, [(0, 1, 0), (1, 1, 0), (1, 1, 0)], (2, 2, 2))
+        mixed_exponent([(0, 1, 0), (1, 1, 0), (1, 1, 0)], (2, 2, 2))
     with pytest.raises(PreconditionError):
-        mixed_exponent(dec, [(1, 1, 0)] * 2, (2, 2, 2))
+        mixed_exponent([(1, 1, 0)] * 2, (2, 2, 2))
 
 
 def test_conjugated_anchor_values():
@@ -398,3 +398,24 @@ def test_every_report_is_verified():
         assert isinstance(r, WitnessReport)
         assert r.verified
         assert equivalent(r.lhs, r.rhs)
+
+
+# -- letter classification --------------------------------------------------------
+
+def test_gamma_partition():
+    from quemon import parse_queue_word
+
+    images = {
+        "a": parse_queue_word("cc"),
+        "b": parse_queue_word("~d"),
+        "c": parse_queue_word("c~d"),
+    }
+    part = gamma_partition(images)
+    assert part.plus == ("a",)
+    assert part.minus == ("b",)
+    assert part.plusminus == ("c",)
+
+
+def test_gamma_partition_rejects_identity_image():
+    with pytest.raises(IdentityImageError, match="a"):
+        gamma_partition({"a": ()})
