@@ -14,18 +14,16 @@ independent letters changes no offset, and the stacks determine the trace
 (the projection lemma), so two words are equivalent exactly when every
 letter has the same offsets in both.
 
-The lexicographically least member of a class is its normal form.  The
-next x can come first exactly when its target, its offset plus the emitted
-letters independent of x, equals the number G of letters emitted so far.
-The target never drops below G and rises only when a letter of I(x) is
-emitted.  A letter waits in the bucket of its target until G reaches it,
-and moves on to a later bucket then if its target has risen meanwhile.
+The lexicographically least member of a class is its normal form.  x can
+come first when its target, its offset plus the emitted letters of I(x),
+equals the number of letters emitted.  The first unemitted position holds
+such a letter k, and any other is independent of k, as it stands behind k.
+So one scan of the word emits the least of them, skipping each occurrence
+emitted ahead of it, since a letter's occurrences leave in word order.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Sequence
 
 from .alphabet import IndependenceAlphabet
@@ -89,18 +87,16 @@ def _offsets(u: TraceWord) -> dict[Letter, list[int]]:
             for x, o in offs.items()}
     for i, x in enumerate(u.word):
         push, independent = step[x]
-        push(i - sum(map(len, independent)))
+        push(i - sum(map(len, independent)) if independent else i)
     return offs
 
 
 def lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> TraceWord:
     """Least representative of u's class in the length-lexicographic order.
 
-    The order on letters defaults to declaration order.  The letters that
-    may come first sit in a heap keyed by the order, the others in buckets
-    keyed by a target.  O(n * (d + 1) + n log |letters|), where d is
-    the largest independence degree among the letters of u, plus
-    O(|letters|) to check a given order, which must name every letter once.
+    The order on letters defaults to declaration order; a given order must
+    name every letter once.  O(n * (d + 1) + |letters| log |letters|), where
+    d is the largest independence degree among the letters of u.
     """
     g = u.alphabet
     offs = _offsets(u)
@@ -119,31 +115,35 @@ def lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> Trac
         letters = [x for x in order if x in offs]
     # from here on a letter is its position in `letters`
     pos = {x: k for k, x in enumerate(letters)}
+    # independent[k] ascends with k; only targets with a later partner are read
+    independent: list[list[int]] = [[] for _ in letters]
+    for k, x in enumerate(letters):
+        for z in g.neighbors(x):
+            if z in pos:
+                independent[pos[z]].append(k)
+    earlier = [[z for z in zs if z < k] for k, zs in enumerate(independent)]
+    bumps = [[z for z in zs if independent[z][-1] > z] for zs in independent]
     occ = [offs[x][::-1] for x in letters]
-    independent = [[pos[z] for z in g.neighbors(x) if z in pos] for x in letters]
     target = [o[-1] for o in occ]
-    waiting: defaultdict[int, list[int]] = defaultdict(list)
-    for k, t in enumerate(target):
-        waiting[t].append(k)
-    heap = waiting.pop(0, [])
+    ahead = [0] * len(letters)  # emitted occurrences the scan has not reached
     out: list[Letter] = []
     done = 0
-    while heap:
-        k = heappop(heap)
-        out.append(letters[k])
-        done += 1
-        for z in independent[k]:
-            target[z] += 1
-        o = occ[k]
-        last = o.pop()
-        if o:
-            t = target[k] = done - 1 + o[-1] - last
-            waiting[t].append(k)
-        for z in waiting.pop(done, ()):
-            if target[z] == done:
-                heappush(heap, z)
+    for k in map(pos.__getitem__, u.word):
+        while not ahead[k]:
+            for c in earlier[k]:
+                if target[c] == done:
+                    break
             else:
-                waiting[target[z]].append(z)
+                c = k
+            out.append(letters[c])
+            done += 1
+            for z in bumps[c]:
+                target[z] += 1
+            o = occ[c]
+            last = o.pop()
+            target[c] = done - 1 + o[-1] - last if o else -1
+            ahead[c] += 1
+        ahead[k] -= 1
     return TraceWord(g, out)
 
 

@@ -12,8 +12,9 @@ projections onto
 every dependent pair, the dependence stacks by one projection per letter
 and by one push per position and dependent letter, with the normal form
 that pops them through a heap and the equivalence that compares them,
-the bounded embedding check over every word with its class key of
-occurrence offsets,
+the offset normal form that holds the letters that may come first in a
+heap and the others in buckets keyed by a target, the bounded embedding
+check over every word with its class key of occurrence offsets,
 the separating-queue search of `quemon eq` with every level of candidates
 held in a list, and the two embeddings built word by word, the bipartite
 one behind a recipe check that tries every pair, with the encoding of
@@ -22,7 +23,9 @@ elimination over the rationals and by enlarging one step at a time up to a
 cap.  They share no code with
 the kernels they check: the product here is rebuilt on the scanning
 overlap, and the greedy and projection trace oracles ask the alphabet
-only which pairs are independent.  The brute-force oracles come last: the
+only which pairs are independent.  The one exception is the heap-and-bucket
+normal form, which reads the library's occurrence offsets, so it checks
+the emission alone.  The brute-force oracles come last: the
 normal form by exhaustive rewriting, and whole equivalence classes by
 breadth-first closure under the rewrite rules or under swaps of independent letters.  Next to them, stated through the library's normal
 form, are mu (the center alone) and the block-shift identities.
@@ -39,10 +42,14 @@ letter, a second breadth-first search of the core, and the odd cycle from
 ancestor chains.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Sequence
 
 from quemon import (
     BOTTOM,
@@ -71,6 +78,10 @@ from quemon import (
     overlap,
     parse_word,
 )
+from quemon.trace import _offsets
+
+if TYPE_CHECKING:
+    from quemon.words import Letter
 
 
 def scan_prefix_function(w):
@@ -358,6 +369,60 @@ def stack_trace_equivalent(u, v):
     if len(u.word) != len(v.word):
         return False
     return _stacks(u) == _stacks(v)
+
+
+def bucket_lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> TraceWord:
+    """Least representative of u's class in the length-lexicographic order.
+
+    The order on letters defaults to declaration order.  The letters that
+    may come first sit in a heap keyed by the order, the others in buckets
+    keyed by a target.  O(n * (d + 1) + n log |letters|), where d is
+    the largest independence degree among the letters of u, plus
+    O(|letters|) to check a given order, which must name every letter once.
+    """
+    g = u.alphabet
+    offs = _offsets(u)
+    if order is None:
+        letters = sorted(offs, key=g.rank)
+    else:
+        seen: set[Letter] = set()
+        for x in order:
+            if x in seen or x not in g:
+                why = "repeats" if x in seen else "names unknown"
+                raise PreconditionError(f"order {why} letter {x!r}")
+            seen.add(x)
+        if len(seen) < len(g.letters):
+            x = next(x for x in g.letters if x not in seen)
+            raise PreconditionError(f"order is missing letter {x!r}")
+        letters = [x for x in order if x in offs]
+    # from here on a letter is its position in `letters`
+    pos = {x: k for k, x in enumerate(letters)}
+    occ = [offs[x][::-1] for x in letters]
+    independent = [[pos[z] for z in g.neighbors(x) if z in pos] for x in letters]
+    target = [o[-1] for o in occ]
+    waiting: defaultdict[int, list[int]] = defaultdict(list)
+    for k, t in enumerate(target):
+        waiting[t].append(k)
+    heap = waiting.pop(0, [])
+    out: list[Letter] = []
+    done = 0
+    while heap:
+        k = heappop(heap)
+        out.append(letters[k])
+        done += 1
+        for z in independent[k]:
+            target[z] += 1
+        o = occ[k]
+        last = o.pop()
+        if o:
+            t = target[k] = done - 1 + o[-1] - last
+            waiting[t].append(k)
+        for z in waiting.pop(done, ()):
+            if target[z] == done:
+                heappush(heap, z)
+            else:
+                waiting[target[z]].append(z)
+    return TraceWord(g, out)
 
 
 def _words_with_keys(g, images, n):

@@ -1,10 +1,12 @@
-"""Command-line interface: output formats, JSON payloads, exit codes."""
+"""Command-line interface: output formats, JSON payloads, exit codes, and
+the trace commands at 16,000 letters."""
 
 import argparse
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +15,15 @@ import tracemalloc
 import pytest
 
 import quemon
-from quemon import parse_queue_word, project_neg
+from quemon import (
+    IndependenceAlphabet,
+    TraceWord,
+    format_word,
+    lex_normal_form,
+    parse_queue_word,
+    project_neg,
+    trace_equivalent,
+)
 from quemon.cli import _build_parser, _distinguishing_queue, main
 
 from oracles import list_distinguishing_queue, parse_normal_form
@@ -266,6 +276,46 @@ def test_lexnf(capsys, p3):
     assert run(capsys, "lexnf", p3, "ba") == (0, "ab\n", "")
     code, out, _ = run(capsys, "lexnf", "--json", p3, "ba")
     assert json.loads(out) == {"word": "ab"}
+
+
+CAP_S = 5.0  # each command below takes about a second or less; quadratic code, minutes
+
+
+@pytest.mark.parametrize("shape", ["K(300,300)", "16,000-letter matching"])
+def test_trace_commands_stay_linear_at_16000_letters(capsys, tmp_path, shape):
+    # through main() in process: each word is one argument of about 100 KB,
+    # and an argument over 128 KB fails a subprocess with E2BIG on Linux
+    if shape == "K(300,300)":
+        left, right = [f"p{i}" for i in range(300)], [f"q{i}" for i in range(300)]
+        letters, independent = left + right, [[x, y] for x in left for y in right]
+    else:
+        letters = [f"l{i}" for i in range(16_000)]
+        independent = [letters[i:i + 2] for i in range(0, 16_000, 2)]
+    path = alphabet_file(tmp_path, "big.json", letters, independent)
+    g = IndependenceAlphabet.load(path)
+    rng = random.Random(9)
+    w = [rng.choice(letters) for _ in range(16_000)]
+    v = list(w)
+    for _ in range(32_000):
+        i = rng.randrange(len(v) - 1)
+        if g.independent(v[i], v[i + 1]):
+            v[i], v[i + 1] = v[i + 1], v[i]
+    u = TraceWord(g, w)
+
+    def verdict(v):
+        return "EQUIVALENT" if trace_equivalent(u, TraceWord(g, v)) else "NOT EQUIVALENT"
+
+    expected = {
+        ("lexnf", path, " ".join(w)): format_word(lex_normal_form(u).word),
+        ("traceeq", path, " ".join(w), " ".join(v)): verdict(v),
+        ("traceeq", path, " ".join(w), " ".join(w[::-1])): verdict(w[::-1]),
+    }
+    assert list(expected.values())[1:] == ["EQUIVALENT", "NOT EQUIVALENT"]
+    for argv, line in expected.items():
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < CAP_S, argv[0]
+        assert result == (0, line + "\n", ""), argv[0]
 
 
 @pytest.mark.parametrize("letters", [["x|y", "z"], ["~a", "a"], ["a", "b", "ab"]])

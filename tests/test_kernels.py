@@ -16,7 +16,10 @@ independence graphs, with hypothesis on random graphs of 8 to 28 letters.
 They are also checked against the dependence-stack kernels they replaced:
 on every graph over four letters with every word of length up to 5, and
 with hypothesis on graphs of 30 to 300 letters around a high-degree core,
-with words of up to 2,000 letters.  The last tests keep every kernel
+with words of up to 2,000 letters.  The scan that emits lex_normal_form
+is checked against both the stack kernel and the heap-and-bucket kernel
+it replaced on words whose letters overtake the scan, under declaration
+and reversed order.  The last tests keep every kernel
 linear: at 64,000 actions or letters, or 16,000-letter alphabets, a
 quadratic version takes minutes, and power_mu at n = 10^9 matches only
 |neg x| + |pos x| letters; the trace kernels stay under 64 MB on a
@@ -69,6 +72,7 @@ from oracles import (
     _stacks,
     _words_with_keys,
     bfs_trace_class,
+    bucket_lex_normal_form,
     fold_normal_form,
     greedy_lex_normal_form,
     iterated_nf_power,
@@ -514,6 +518,45 @@ def test_offset_kernels_equal_the_stack_kernels_on_cored_graphs(gw):
         assert trace_equivalent(u, v) == stack_trace_equivalent(u, v)
 
 
+# -- the scan against the heap-and-bucket kernel it replaced ----------------
+
+def _complete_bipartite(m):
+    """K(m, m) with its two sides declared alternately: every p is
+    independent of every q, and letters on one side are dependent."""
+    left, right = [f"p{i}" for i in range(m)], [f"q{i}" for i in range(m)]
+    letters = [x for pair in zip(left, right) for x in pair]
+    return IndependenceAlphabet(letters, [(x, y) for x in left for y in right])
+
+
+def _overtaking_shapes():
+    """Words whose letters are emitted ahead of the scan: (b a)^n with a I b,
+    (b c a)^n with a I b and a I c, b^k a with a I b, (c b a)^n over three
+    pairwise independent letters, where two letters before the scanned one
+    wait at once, and random words over K(m, m) for m = 3, 8 and 40.  The
+    test reads each word forwards and backwards."""
+    ab = IndependenceAlphabet(("a", "b"), [("a", "b")])
+    abc = IndependenceAlphabet(("a", "b", "c"), [("a", "b"), ("a", "c")])
+    free = IndependenceAlphabet(("a", "b", "c"), [("a", "b"), ("a", "c"), ("b", "c")])
+    for n in (1, 2, 3, 7, 40):
+        yield ab, ("b", "a") * n
+        yield abc, ("b", "c", "a") * n
+        yield ab, ("b",) * n + ("a",)
+        yield free, ("c", "b", "a") * n
+    rng = random.Random(11)
+    for m in (3, 8, 40):
+        g = _complete_bipartite(m)
+        for n in (5, 60, 600, 3_000):
+            yield g, tuple(rng.choice(g.letters) for _ in range(n))
+
+
+def test_lex_normal_form_matches_both_oracles_where_letters_overtake_the_scan():
+    for g, w in _overtaking_shapes():
+        for u, order in itertools.product((TraceWord(g, w), TraceWord(g, w[::-1])), (None, g.letters[::-1])):
+            nf = lex_normal_form(u, order)
+            assert nf == bucket_lex_normal_form(u, order), (g, order, w)
+            assert nf == stack_lex_normal_form(u, order), (g, order, w)
+
+
 # -- edge cases ---------------------------------------------------------------
 
 def test_edge_cases():
@@ -609,6 +652,20 @@ def test_trace_kernels_stay_linear_at_64000_letters():
     assert _timed(trace_equivalent, u, nf)
     assert _timed(trace_equivalent, u, v)
     assert not _timed(trace_equivalent, u, TraceWord(g, other))
+
+
+def test_lex_normal_form_stays_linear_where_letters_overtake_the_scan():
+    # under (a, b) every a is emitted ahead of the scan, under (b, a) none
+    g = IndependenceAlphabet(("a", "b"), [("a", "b")])
+    u = TraceWord(g, ("b", "a") * 32_000)
+    assert _timed(lex_normal_form, u).word == ("a",) * 32_000 + ("b",) * 32_000
+    assert _timed(lex_normal_form, u, ("b", "a")).word == ("b",) * 32_000 + ("a",) * 32_000
+    # over K(150, 150) a q waits behind up to 150 earlier p, the longest
+    # candidate scan; the normal form is the p, then the q, in word order
+    g = _complete_bipartite(150)
+    w = tuple(random.Random(7).choice(g.letters) for _ in range(16_000))
+    nf = _timed(lex_normal_form, TraceWord(g, w), sorted(g.letters))
+    assert nf.word == tuple(x for x in w if x[0] == "p") + tuple(x for x in w if x[0] == "q")
 
 
 def test_trace_kernels_stay_linear_on_a_16000_letter_matching():
