@@ -77,7 +77,7 @@ def _nf_payload(nf) -> dict:
 
 def _describe(record) -> tuple[object, str]:
     """JSON payload and text line for a decide verdict or for the reason an
-    alphabet is not embeddable; anything else is shown by its str().
+    alphabet is not embeddable.
 
     The one place the CLI looks inside the verdict records.
     """
@@ -88,7 +88,6 @@ def _describe(record) -> tuple[object, str]:
         NotCompleteBipartite,
         NotEmbeddable,
         OddCycle,
-        TwoNontrivialComponents,
     )
 
     if isinstance(record, Embeddable):
@@ -127,15 +126,14 @@ def _describe(record) -> tuple[object, str]:
     if isinstance(record, MissingPair):
         payload = {"kind": "missing-pair", "pair": list(record.pair)}
         return payload, "missing pair " + " ".join(record.pair)
-    if isinstance(record, TwoNontrivialComponents):
-        payload = {
-            "kind": "two-nontrivial-components",
-            "edges": [list(edge) for edge in record.edges],
-        }
-        return payload, "two nontrivial components " + ", ".join(
-            "-".join(edge) for edge in record.edges
-        )
-    return str(record), str(record)
+    # the one reason left: TwoNontrivialComponents
+    payload = {
+        "kind": "two-nontrivial-components",
+        "edges": [list(edge) for edge in record.edges],
+    }
+    return payload, "two nontrivial components " + ", ".join(
+        "-".join(edge) for edge in record.edges
+    )
 
 
 def _cmd_decide(ns: argparse.Namespace) -> tuple[object, str]:

@@ -122,14 +122,6 @@ class QueueNormalForm(NamedTuple):
     def pos(self) -> Word:
         return self.center + self.writes
 
-    def to_queue_word(self) -> QueueWord:
-        out: list[Action] = ["~" + x for x in self.reads]
-        for x in self.center:
-            out.append(x)
-            out.append("~" + x)
-        out.extend(self.writes)
-        return tuple(out)
-
 
 NF_IDENTITY = QueueNormalForm((), (), ())
 

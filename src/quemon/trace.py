@@ -14,7 +14,7 @@ independent letters changes no offset, and the stacks determine the trace
 (the projection lemma), so two words are equivalent exactly when every
 letter has the same offsets in both.
 
-The lexicographically least member of a class is its normal form.  x can
+A class's normal form is its least member in declared letter order.  x can
 come first when its target, its offset plus the emitted letters of I(x),
 equals the number of letters emitted.  The first unemitted position holds
 such a letter k, and any other is independent of k, as it stands behind k.
@@ -24,7 +24,7 @@ emitted ahead of it, since a letter's occurrences leave in word order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .alphabet import IndependenceAlphabet
 from .errors import AlphabetMismatchError, PreconditionError
@@ -91,36 +91,21 @@ def _offsets(u: TraceWord) -> dict[Letter, list[int]]:
     return offs
 
 
-def lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) -> TraceWord:
+def lex_normal_form(u: TraceWord) -> TraceWord:
     """Least representative of u's class in the length-lexicographic order.
 
-    The order on letters defaults to declaration order; a given order must
-    name every letter once.  O(n * (d + 1) + |letters| log |letters|), where
-    d is the largest independence degree among the letters of u.
+    Letters rank as the alphabet declares them; for another order, declare
+    the alphabet in it.  O(n * (d + 1) + |letters| log |letters|), where d
+    is the largest independence degree among the letters of u.
     """
     g = u.alphabet
     offs = _offsets(u)
-    if order is None:
-        letters = sorted(offs, key=g.rank)
-    else:
-        seen: set[Letter] = set()
-        for x in order:
-            if x in seen or x not in g:
-                why = "repeats" if x in seen else "names unknown"
-                raise PreconditionError(f"order {why} letter {x!r}")
-            seen.add(x)
-        if len(seen) < len(g.letters):
-            x = next(x for x in g.letters if x not in seen)
-            raise PreconditionError(f"order is missing letter {x!r}")
-        letters = [x for x in order if x in offs]
+    letters = sorted(offs, key=g.rank)
     # from here on a letter is its position in `letters`
     pos = {x: k for k, x in enumerate(letters)}
-    # independent[k] ascends with k; only targets with a later partner are read
-    independent: list[list[int]] = [[] for _ in letters]
-    for k, x in enumerate(letters):
-        for z in g.neighbors(x):
-            if z in pos:
-                independent[pos[z]].append(k)
+    # neighbours come in declaration order, so each independent[k] ascends;
+    # only targets with a later partner are read
+    independent = [[pos[z] for z in g.neighbors(x) if z in pos] for x in letters]
     earlier = [[z for z in zs if z < k] for k, zs in enumerate(independent)]
     bumps = [[z for z in zs if independent[z][-1] > z] for zs in independent]
     occ = [offs[x][::-1] for x in letters]

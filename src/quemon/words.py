@@ -32,12 +32,9 @@ def match_step(pattern: Sequence[Letter], border: list[int], k: int, x: Letter) 
     is the length of the longest proper prefix of pattern[:i+1] that is also
     its suffix.  A fallback from a match of length k needs border[k - 1];
     when that entry is not built yet, border is extended in place up to it,
-    each new entry by one step over pattern itself, by the rule every
-    caller follows: extend when the next letter continues the match, stay
-    at 0 when a match of length 0 mismatches, and call this function only
-    to fall back.  A
-    full match (k == len(pattern)) falls back along its borders first, so
-    the result never exceeds len(pattern).  Each call costs O(1) amortised
+    each new entry by the prefix-function loop over pattern itself.  A full
+    match (k == len(pattern)) falls back along its borders first, so the
+    result never exceeds len(pattern).  Each call costs O(1) amortised
     over a left-to-right scan, because every fallback shortens the match,
     every call lengthens it by at most one, and every entry of border is
     computed once.
@@ -45,15 +42,13 @@ def match_step(pattern: Sequence[Letter], border: list[int], k: int, x: Letter) 
     n = len(pattern)
     while k and (k == n or pattern[k] != x):
         while len(border) < k:
-            # border[-1] < len(border): this step needs no entry not built yet
             i = len(border)
             j = border[-1] if i else 0
             y = pattern[i]
-            if i and pattern[j] == y:
-                j += 1
-            elif j:
-                j = match_step(pattern, border, j, y)
-            border.append(j)
+            # j < i, so the fallbacks read only entries already built
+            while j and pattern[j] != y:
+                j = border[j - 1]
+            border.append(j + 1 if i and pattern[j] == y else 0)
         k = border[k - 1]
     if k < n and pattern[k] == x:
         return k + 1

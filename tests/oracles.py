@@ -602,6 +602,17 @@ def parse_normal_form(text, alphabet=None):
     return QueueNormalForm(u1, u2, u3)
 
 
+def nf_to_queue_word(nf):
+    """The queue word of a normal form: its reads, then x ~x for each letter
+    x of its center, then its writes; the fixpoint of rewrite_nf_oracle."""
+    out = ["~" + x for x in nf.reads]
+    for x in nf.center:
+        out.append(x)
+        out.append("~" + x)
+    out.extend(nf.writes)
+    return tuple(out)
+
+
 def sandwich_form(dec, y):
     """Exponent k with y = g q^k = p^k g, for y caught between powers of q and p.
 

@@ -48,6 +48,7 @@ from oracles import (
     bfs_class_oracle,
     bipartite_embedding,
     generalized_shift,
+    nf_to_queue_word,
     overlap_gq,
     rewrite_nf_oracle,
     sandwich_form,
@@ -84,7 +85,7 @@ def test_01_normal_form_agrees_with_rewriting_and_class_oracles():
     for w in queue_words_up_to(6):
         words += 1
         nf = normal_form(w)
-        assert nf.to_queue_word() == rewrite_nf_oracle(w), w
+        assert nf_to_queue_word(nf) == rewrite_nf_oracle(w), w
         groups.setdefault(nf, []).append(w)
     for nf, members in groups.items():
         assert bfs_class_oracle(members[0]) == set(members), nf

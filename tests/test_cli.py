@@ -1,5 +1,5 @@
-"""Command-line interface: output formats, JSON payloads, exit codes, and
-the trace commands at 16,000 letters."""
+"""Command-line interface: output formats, JSON payloads, exit codes, the
+fast commands on worst-case inputs, and a fuzz test of the exit contract."""
 
 import argparse
 import io
@@ -13,18 +13,26 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quemon
 from quemon import (
     IndependenceAlphabet,
+    MatchingRecipe,
     TraceWord,
+    action,
+    decide_embeddable,
+    format_normal_form,
+    format_state,
     format_word,
     lex_normal_form,
+    multiply,
+    normal_form,
     parse_queue_word,
     project_neg,
     trace_equivalent,
 )
-from quemon.cli import _build_parser, _distinguishing_queue, main
+from quemon.cli import _WITNESS_KINDS, _build_parser, _distinguishing_queue, main
 
 from oracles import list_distinguishing_queue, parse_normal_form
 
@@ -281,6 +289,57 @@ def test_lexnf(capsys, p3):
 CAP_S = 5.0  # each command below takes about a second or less; quadratic code, minutes
 
 
+def _timed_run(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < CAP_S, argv[0]
+    return result
+
+
+@pytest.mark.parametrize("shape", ["deep fallback", "long center"])
+def test_queue_commands_stay_linear_at_64000_actions(capsys, shape):
+    # the shapes of the 64,000-action kernel test, through main() in process
+    if shape == "deep fallback":
+        # every read falls back deep into the border table of pos
+        w = ("a",) * 16_000 + ("b",) + ("a",) * 16_000 + ("~a",) * 31_999
+    else:
+        # every written letter is read back: a center of 32,001 letters
+        r = ("a", "b", "c")
+        w = r * 8_000 + tuple("~" + x for x in r) * 8_000 + tuple(a for x in r * 2_667 for a in (x, "~" + x))
+    assert len(w) in (64_000, 64_002)
+    half = len(w) // 2
+    text, first, second = "".join(w), "".join(w[:half]), "".join(w[half:])
+    queue = project_neg(w)
+    expected = {
+        ("nf", text): format_normal_form(normal_form(w)),
+        ("mul", first, second): format_normal_form(multiply(normal_form(w[:half]), normal_form(w[half:]))),
+        ("action", "".join(queue), text): format_state(action(queue, w)),
+    }
+    assert expected["nf", text] == expected["mul", first, second]
+    for argv, line in expected.items():
+        assert _timed_run(capsys, *argv) == (0, line + "\n", ""), argv[0]
+
+
+@pytest.mark.parametrize("shape", ["4,000-letter matching", "K(300,300)"])
+def test_decide_stays_linear_on_large_alphabets(capsys, tmp_path, shape):
+    if shape == "K(300,300)":
+        left, right = [f"p{i}" for i in range(300)], [f"q{i}" for i in range(300)]
+        letters, independent = left + right, [[x, y] for x in left for y in right]
+    else:
+        letters = [f"l{i}" for i in range(4_000)]
+        independent = [letters[i:i + 2] for i in range(0, 4_000, 2)]
+    path = alphabet_file(tmp_path, "big.json", letters, independent)
+    recipe = decide_embeddable(IndependenceAlphabet.load(path)).recipe
+    if isinstance(recipe, MatchingRecipe):
+        line = "EMBEDDABLE (matching): " + " ".join(
+            f"{x}->{i}/{role}" for x, (i, role) in recipe.pairing.items()
+        )
+    else:
+        line = (f"EMBEDDABLE (complete bipartite): C1={{{','.join(recipe.part1)}}} "
+                f"C2={{{','.join(recipe.part2)}}} isolated={{{','.join(recipe.isolated)}}}")
+    assert _timed_run(capsys, "decide", path) == (0, line + "\n", "")
+
+
 @pytest.mark.parametrize("shape", ["K(300,300)", "16,000-letter matching"])
 def test_trace_commands_stay_linear_at_16000_letters(capsys, tmp_path, shape):
     # through main() in process: each word is one argument of about 100 KB,
@@ -312,10 +371,83 @@ def test_trace_commands_stay_linear_at_16000_letters(capsys, tmp_path, shape):
     }
     assert list(expected.values())[1:] == ["EQUIVALENT", "NOT EQUIVALENT"]
     for argv, line in expected.items():
-        start = time.perf_counter()
-        result = run(capsys, *argv)
-        assert time.perf_counter() - start < CAP_S, argv[0]
-        assert result == (0, line + "\n", ""), argv[0]
+        assert _timed_run(capsys, *argv) == (0, line + "\n", ""), argv[0]
+
+
+# -- the exit contract under random argv -------------------------------------
+
+_ALPHABET_POOL = {
+    "path": b'{"letters": ["a", "b", "c"], "independent": [["a", "b"], ["b", "c"]]}',
+    "triangle": b'{"letters": ["a", "b", "c"], "independent": [["a", "b"], ["b", "c"], ["a", "c"]]}',
+    "wide": b'{"letters": ["aa", "b", "c"], "independent": [["aa", "b"]]}',
+    "no-print-back": b'{"letters": ["a", "b", "ab"], "independent": []}',
+    "not-utf8": b"\xff\xfe",
+    "scalar-pair": b'{"letters": ["a"], "independent": [5]}',
+    "unknown-letter": b'{"letters": ["a"], "independent": [["a", "z"]]}',
+}
+
+
+@pytest.fixture(scope="module")
+def alphabet_pool(tmp_path_factory):
+    """Each alphabet file of the pool, written once, and a path that does not exist."""
+    root = tmp_path_factory.mktemp("pool")
+    paths = []
+    for name, content in _ALPHABET_POOL.items():
+        (root / name).write_bytes(content)
+        paths.append(str(root / name))
+    return paths + [str(root / "absent.json")]
+
+
+def _joined(tokens):
+    return st.builds(str.join, st.sampled_from(("", " ")), st.lists(st.sampled_from(tokens), max_size=4))
+
+
+_QUEUE_WORDS = _joined(("a", "b", "c", "~a", "~b", "~c"))
+# where a plain word is expected, a queue word is a parse error
+_PLAIN_WORDS = st.one_of(_joined(("a", "b", "c")), _QUEUE_WORDS)
+# the positionals after the alphabet file, as in _WITNESS_KINDS: T, U, V, W
+# queue words, P, Q, G, H plain words
+_POSITIONALS = {"decide": "", "nf": "U", "mul": "UU", "eq": "UU", "action": "PU",
+                "traceeq": "PP", "lexnf": "P", "embed": "P"}
+
+
+@st.composite
+def _argv(draw, pool):
+    """A command line that parses: any subcommand with its positionals,
+    words of at most 4 actions over {a, b, c}, and optional flags."""
+    command = draw(st.sampled_from(sorted(_POSITIONALS) + ["witness"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if command in ("nf", "mul", "eq", "action", "witness") and draw(st.booleans()):
+        argv += ["--alphabet", draw(st.sampled_from(pool))]
+    if command == "eq" and draw(st.booleans()):
+        argv += ["--max-len", str(draw(st.integers(min_value=0, max_value=6)))]
+    if command in ("decide", "traceeq", "lexnf", "embed"):
+        argv.append(draw(st.sampled_from(pool)))
+    if command == "witness":
+        kind = draw(st.sampled_from(sorted(_WITNESS_KINDS)))
+        names = _WITNESS_KINDS[kind][0]
+        # sometimes the wrong number of arguments, a parse error
+        names = draw(st.one_of(st.just(names), st.integers(min_value=0, max_value=6).map("U".__mul__)))
+        argv.append(kind)
+    else:
+        names = _POSITIONALS[command]
+    return argv + [draw(_PLAIN_WORDS if name in "PQGH" else _QUEUE_WORDS) for name in names]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_parsed_command_line_ends_in_an_answer_or_a_documented_exit(capsys, alphabet_pool, data):
+    argv = data.draw(_argv(alphabet_pool))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2, argv
+    assert code in (0, 2, 3, 4, 5), argv
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+    else:
+        assert err == "" and out.count("\n") == 1 and out.endswith("\n"), argv
 
 
 @pytest.mark.parametrize("letters", [["x|y", "z"], ["~a", "a"], ["a", "b", "ab"]])

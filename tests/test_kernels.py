@@ -19,11 +19,12 @@ with hypothesis on graphs of 30 to 300 letters around a high-degree core,
 with words of up to 2,000 letters.  The scan that emits lex_normal_form
 is checked against both the stack kernel and the heap-and-bucket kernel
 it replaced on words whose letters overtake the scan, under declaration
-and reversed order.  The last tests keep every kernel
-linear: at 64,000 actions or letters, or 16,000-letter alphabets, a
-quadratic version takes minutes, and power_mu at n = 10^9 matches only
-|neg x| + |pos x| letters; the trace kernels stay under 64 MB on a
-16,000-letter matching; the bounded verification on K(3,3) at
+and reversed order.  A test of another letter order declares the alphabet
+in it and checks against the oracles given that order.  The last tests
+keep every kernel linear: at 64,000 actions or letters, or 16,000-letter
+alphabets, a quadratic version takes minutes, and power_mu at n = 10^9
+matches only |neg x| + |pos x| letters; the trace kernels stay under
+64 MB on a 16,000-letter matching; the bounded verification on K(3,3) at
 length 7 pays per class, not per word, and stays under 32 MB; and an
 embedding over a 4,000-letter alphabet is built once, in time linear in
 the alphabet and its letter images.
@@ -225,6 +226,12 @@ def _small_graphs():
 
 
 
+def _declared(g, order):
+    """g with its letters declared in order, the order lex_normal_form ranks
+    them by."""
+    return IndependenceAlphabet(order, g.edges)
+
+
 def _offset_key(u):
     """The offsets of u as a hashable class key."""
     return tuple(sorted((x, tuple(o)) for x, o in _offsets(u).items()))
@@ -232,8 +239,9 @@ def _offset_key(u):
 def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
     for g in _small_graphs():
         for order in (g.letters, g.letters[::-1]):
+            h = _declared(g, order)
             for w in words_up_to(6, g.letters):
-                got = lex_normal_form(TraceWord(g, w), order=order).word
+                got = lex_normal_form(TraceWord(h, w)).word
                 assert got == greedy_lex_normal_form(g, w, order), (g, order, w)
 
 
@@ -419,7 +427,7 @@ def test_lex_normal_form_matches_greedy_on_random_graphs(gw):
     g, order, w, _ = gw
     u = TraceWord(g, w)
     assert lex_normal_form(u).word == greedy_lex_normal_form(g, w)
-    assert lex_normal_form(u, order=order).word == greedy_lex_normal_form(g, w, order)
+    assert lex_normal_form(TraceWord(_declared(g, order), w)).word == greedy_lex_normal_form(g, w, order)
 
 
 @given(graphs_and_words())
@@ -454,6 +462,7 @@ def test_offset_kernels_equal_the_stack_kernels_on_every_graph_on_4_letters():
     for r in range(len(pairs) + 1):
         for edges in itertools.combinations(pairs, r):
             g = IndependenceAlphabet(four, edges)
+            declared = {order: _declared(g, order) for order in (four, four[::-1])}
             classes = {}
             normal_forms = {}
             for w in words:
@@ -461,12 +470,12 @@ def test_offset_kernels_equal_the_stack_kernels_on_every_graph_on_4_letters():
                 stacks = tuple(map(tuple, _stacks(u)))
                 offsets = _offset_key(u)
                 assert classes.setdefault(stacks, offsets) == offsets, (g, w)
-                for order in (four, four[::-1]):
+                for order, h in declared.items():
                     if (stacks, order) not in normal_forms:
-                        normal_forms[stacks, order] = stack_lex_normal_form(u, order)
-                    nf = lex_normal_form(u, order)
+                        normal_forms[stacks, order] = stack_lex_normal_form(u, order).word
+                    nf = lex_normal_form(TraceWord(h, w)).word
                     assert nf == normal_forms[stacks, order], (g, order, w)
-                assert trace_equivalent(u, nf), (g, w)
+                assert trace_equivalent(u, TraceWord(g, nf)), (g, w)
             assert len(set(classes.values())) == len(classes), g
 
 
@@ -505,10 +514,10 @@ def cored_graphs_and_words(draw):
 def test_offset_kernels_equal_the_stack_kernels_on_cored_graphs(gw):
     g, order, w, rng = gw
     u = TraceWord(g, w)
-    nf = lex_normal_form(u, order)
-    assert nf == stack_lex_normal_form(u, order)
+    nf = lex_normal_form(TraceWord(_declared(g, order), w)).word
+    assert nf == stack_lex_normal_form(u, order).word
     assert lex_normal_form(u) == stack_lex_normal_form(u)
-    assert trace_equivalent(u, nf)
+    assert trace_equivalent(u, TraceWord(g, nf))
     others = [_swap_independent(g, w, rng, 3 * len(w)) if len(w) > 1 else w, w[::-1]]
     i = next((i for i in range(len(w) - 1) if w[i] != w[i + 1]), None)
     if i is not None:
@@ -551,10 +560,13 @@ def _overtaking_shapes():
 
 def test_lex_normal_form_matches_both_oracles_where_letters_overtake_the_scan():
     for g, w in _overtaking_shapes():
-        for u, order in itertools.product((TraceWord(g, w), TraceWord(g, w[::-1])), (None, g.letters[::-1])):
-            nf = lex_normal_form(u, order)
-            assert nf == bucket_lex_normal_form(u, order), (g, order, w)
-            assert nf == stack_lex_normal_form(u, order), (g, order, w)
+        for order in (g.letters, g.letters[::-1]):
+            h = _declared(g, order)
+            for v in (w, w[::-1]):
+                u = TraceWord(g, v)
+                nf = lex_normal_form(TraceWord(h, v)).word
+                assert nf == bucket_lex_normal_form(u, order).word, (g, order, v)
+                assert nf == stack_lex_normal_form(u, order).word, (g, order, v)
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -655,16 +667,17 @@ def test_trace_kernels_stay_linear_at_64000_letters():
 
 
 def test_lex_normal_form_stays_linear_where_letters_overtake_the_scan():
-    # under (a, b) every a is emitted ahead of the scan, under (b, a) none
+    # declared (a, b), every a is emitted ahead of the scan; declared (b, a), none
     g = IndependenceAlphabet(("a", "b"), [("a", "b")])
     u = TraceWord(g, ("b", "a") * 32_000)
     assert _timed(lex_normal_form, u).word == ("a",) * 32_000 + ("b",) * 32_000
-    assert _timed(lex_normal_form, u, ("b", "a")).word == ("b",) * 32_000 + ("a",) * 32_000
+    u = TraceWord(_declared(g, ("b", "a")), u.word)
+    assert _timed(lex_normal_form, u).word == ("b",) * 32_000 + ("a",) * 32_000
     # over K(150, 150) a q waits behind up to 150 earlier p, the longest
     # candidate scan; the normal form is the p, then the q, in word order
     g = _complete_bipartite(150)
     w = tuple(random.Random(7).choice(g.letters) for _ in range(16_000))
-    nf = _timed(lex_normal_form, TraceWord(g, w), sorted(g.letters))
+    nf = _timed(lex_normal_form, TraceWord(_declared(g, sorted(g.letters)), w))
     assert nf.word == tuple(x for x in w if x[0] == "p") + tuple(x for x in w if x[0] == "q")
 
 

@@ -38,6 +38,7 @@ from oracles import (
     generalized_shift,
     iterated_nf_power,
     mu,
+    nf_to_queue_word,
     parse_normal_form,
     rewrite_nf_oracle,
 )
@@ -196,7 +197,7 @@ def test_oracles_agree_with_normal_form_small():
     """Reduced-scope version of the exhaustive acceptance check."""
     for w in queue_words_up_to(4):
         nf = normal_form(w)
-        assert nf.to_queue_word() == rewrite_nf_oracle(w)
+        assert nf_to_queue_word(nf) == rewrite_nf_oracle(w)
         cls = bfs_class_oracle(w)
         assert all(normal_form(v) == nf for v in cls)
 
