@@ -1,7 +1,8 @@
 """The queue monoid: action semantics, normal forms, and multiplication.
 
 A basic action over a base alphabet A is a write of a letter (token ``x``)
-or a read of a letter (token ``~x``).  A sequence of actions transforms
+or a read of a letter (token ``~x``); an action is a nonempty string, and
+a[0] == "~" tells a read from a write.  A sequence of actions transforms
 queue contents, which are a word over A, or the absorbing error state
 BOTTOM: a write appends its letter at the back, a read removes its letter
 from the front and fails to BOTTOM when the front differs or the queue is
@@ -45,18 +46,24 @@ calls, matches at most |neg x| + |pos x| letters whatever the exponent:
 by Fine and Wilf (1965), a match between powers of neg x and of pos x
 that is at least |neg x| + |pos x| - gcd(|neg x|, |pos x|) letters long
 has the gcd as a period, and from there on arithmetic on the primitive
-period gives the center.
+period gives the center.  equivalent reads from where two words first
+differ: the rules preserve length and swap a read with a write, and pos
+and neg are class invariants, so words of unequal lengths, or whose first
+or last differing actions are both writes or both reads, are
+inequivalent, found at C speed; only the other pairs pay two normal forms.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
+from operator import ne
 from typing import Collection, NamedTuple, Union
 
 from .errors import InternalError, ParseError, PreconditionError
 from .words import Letter, Word, match_step, overlap, primitive_root
 
-Action = str  # 'x' writes letter x, '~x' reads letter x
+Action = str  # 'x' writes letter x, '~x' reads letter x; never empty
 QueueWord = tuple[Action, ...]
 
 DEFAULT_ALPHABET: tuple[Letter, ...] = tuple("abcdefghijklmnopqrstuvwxyz")
@@ -77,7 +84,7 @@ QueueState = Union[Word, _BottomType]
 
 
 def action_letter(a: Action) -> Letter:
-    return a[1:] if a.startswith("~") else a
+    return a[1:] if a[0] == "~" else a
 
 
 def action(state: QueueState, w: QueueWord) -> QueueState:
@@ -90,7 +97,7 @@ def action(state: QueueState, w: QueueWord) -> QueueState:
     queue = list(state)
     head = 0
     for a in w:
-        if a[:1] == "~":
+        if a[0] == "~":
             if head == len(queue) or queue[head] != a[1:]:
                 return BOTTOM
             head += 1
@@ -101,12 +108,12 @@ def action(state: QueueState, w: QueueWord) -> QueueState:
 
 def project_pos(w: QueueWord) -> Word:
     """The written letters of w, in order."""
-    return tuple([a for a in w if not a.startswith("~")])
+    return tuple([a for a in w if a[0] != "~"])
 
 
 def project_neg(w: QueueWord) -> Word:
     """The read letters of w, in order."""
-    return tuple([a[1:] for a in w if a.startswith("~")])
+    return tuple([a[1:] for a in w if a[0] == "~"])
 
 
 class QueueNormalForm(NamedTuple):
@@ -161,16 +168,18 @@ def normal_form(w: QueueWord) -> QueueNormalForm:
     pos: list[Letter] = []
     border: list[int] = []  # prefix function of pos, built on demand
     k = 0  # length of the current center
+    n = 0  # letters written so far, len(pos)
     for a in w:
-        if a[:1] == "~":
+        if a[0] != "~":
+            pos.append(a)
+            n += 1
+        else:
             x = a[1:]
             neg.append(x)
-            if k < len(pos) and pos[k] == x:
+            if k < n and pos[k] == x:
                 k += 1
             elif k:
                 k = match_step(pos, border, k, x)
-        else:
-            pos.append(a)
     return QueueNormalForm(tuple(neg[: len(neg) - k]), tuple(pos[:k]), tuple(pos[k:]))
 
 
@@ -223,7 +232,24 @@ def power_mu(x: QueueNormalForm, n: int) -> Word:
 
 
 def equivalent(u: QueueWord, v: QueueWord) -> bool:
-    """Whether u and v act identically on every queue."""
+    """Whether u and v act identically on every queue.
+
+    The rewrite rules preserve length, and pos and neg are class
+    invariants.  So words of unequal lengths are inequivalent.  Where u and
+    v first differ, their prefixes agree; if both actions there are writes,
+    pos(u) and pos(v) differ at the same index, and if both are reads, neg
+    does.  The same holds for the last difference, counted from the end.
+    Every rewrite swaps a read with a write, so only when both differences
+    pair a read with a write are the normal forms compared.
+    """
+    if len(u) != len(v):
+        return False
+    i = next(compress(count(), map(ne, u, v)), None)
+    if i is None:
+        return True
+    j = next(compress(count(1), map(ne, reversed(u), reversed(v))))
+    if (u[i][0] == "~") == (v[i][0] == "~") or (u[-j][0] == "~") == (v[-j][0] == "~"):
+        return False
     return normal_form(u) == normal_form(v)
 
 

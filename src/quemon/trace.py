@@ -12,7 +12,9 @@ stack, the projection onto D(x) with the other letters as unlabelled
 markers (Diekert & Rozenberg, The Book of Traces, 1995, ch. 2).  A swap of
 independent letters changes no offset, and the stacks determine the trace
 (the projection lemma), so two words are equivalent exactly when every
-letter has the same offsets in both.
+letter has the same offsets in both.  A trace monoid is cancellative on
+both sides, so trace_equivalent compares the offsets of the two words
+between their common prefix and common suffix only.
 
 A class's normal form is its least member in declared letter order.  x can
 come first when its target, its offset plus the emitted letters of I(x),
@@ -24,6 +26,8 @@ emitted ahead of it, since a letter's occurrences leave in word order.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import ne
 from typing import TYPE_CHECKING
 
 from .alphabet import IndependenceAlphabet
@@ -79,13 +83,13 @@ class TraceWord:
         return len(self.word)
 
 
-def _offsets(u: TraceWord) -> dict[Letter, list[int]]:
-    """The offsets of each letter of u, in increasing order."""
-    offs: dict[Letter, list[int]] = {x: [] for x in set(u.word)}
+def _offsets(g: IndependenceAlphabet, word: Word) -> dict[Letter, list[int]]:
+    """The offsets of each letter of a word over g, in increasing order."""
+    offs: dict[Letter, list[int]] = {x: [] for x in set(word)}
     # before position i, len(offs[z]) is #z(before i)
-    step = {x: (o.append, [offs[z] for z in u.alphabet.neighbors(x) if z in offs])
+    step = {x: (o.append, [offs[z] for z in g.neighbors(x) if z in offs])
             for x, o in offs.items()}
-    for i, x in enumerate(u.word):
+    for i, x in enumerate(word):
         push, independent = step[x]
         push(i - sum(map(len, independent)) if independent else i)
     return offs
@@ -99,7 +103,7 @@ def lex_normal_form(u: TraceWord) -> TraceWord:
     is the largest independence degree among the letters of u.
     """
     g = u.alphabet
-    offs = _offsets(u)
+    offs = _offsets(g, u.word)
     letters = sorted(offs, key=g.rank)
     # from here on a letter is its position in `letters`
     pos = {x: k for k, x in enumerate(letters)}
@@ -133,9 +137,20 @@ def lex_normal_form(u: TraceWord) -> TraceWord:
 
 
 def trace_equivalent(u: TraceWord, v: TraceWord) -> bool:
-    """Whether u and v denote the same trace: equal occurrence offsets."""
+    """Whether u and v denote the same trace.
+
+    A trace monoid is cancellative on both sides, so p x s and p y s are
+    equivalent exactly when x and y are: only the words between the common
+    prefix and the common suffix are compared, by their occurrence offsets.
+    """
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError("cannot compare over different alphabets")
-    if len(u.word) != len(v.word):
+    a, b = u.word, v.word
+    if len(a) != len(b):
         return False
-    return _offsets(u) == _offsets(v)
+    i = next(compress(count(), map(ne, a, b)), None)
+    if i is None:
+        return True
+    j = len(a) - next(compress(count(), map(ne, reversed(a), reversed(b))))
+    g = u.alphabet
+    return _offsets(g, a[i:j]) == _offsets(g, b[i:j])

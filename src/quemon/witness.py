@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
@@ -177,7 +177,31 @@ def _power_product(factors: Sequence[QueueWord], exponents: Sequence[int]) -> Qu
         raise CapExceededError(
             f"a side of the equation would have {size} actions, over the cap of {_MAX_SIDE_ACTIONS}"
         )
-    return sum(map(mul, factors, exponents), ())
+    return tuple(_PowerProduct(factors, exponents, size))
+
+
+class _PowerProduct:
+    """The actions of a product of powers, and their number.
+
+    tuple() reads the length from len() and allocates the word once, at its
+    final size, while the actions stream in: no power of a factor and no
+    prefix of the word is built.  Concatenating the powers holds a prefix
+    next to its copy, up to twice the word, and a tuple grown from an
+    iterator of unknown length is reallocated step by step, which leaves
+    the allocator holding more memory after many small witnesses.
+    """
+
+    __slots__ = ("factors", "exponents", "size")
+
+    def __init__(self, factors: Sequence[QueueWord], exponents: Sequence[int], size: int) -> None:
+        self.factors, self.exponents, self.size = factors, exponents, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[str]:
+        chain = itertools.chain.from_iterable
+        return chain(chain(map(itertools.repeat, self.factors, self.exponents)))
 
 
 def _verify(kind: str, x, y, lhs: tuple, rhs: tuple) -> WitnessReport:

@@ -381,7 +381,7 @@ def bucket_lex_normal_form(u: TraceWord, order: Sequence[Letter] | None = None) 
     O(|letters|) to check a given order, which must name every letter once.
     """
     g = u.alphabet
-    offs = _offsets(u)
+    offs = _offsets(g, u.word)
     if order is None:
         letters = sorted(offs, key=g.rank)
     else:

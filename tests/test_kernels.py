@@ -16,7 +16,12 @@ independence graphs, with hypothesis on random graphs of 8 to 28 letters.
 They are also checked against the dependence-stack kernels they replaced:
 on every graph over four letters with every word of length up to 5, and
 with hypothesis on graphs of 30 to 300 letters around a high-degree core,
-with words of up to 2,000 letters.  The scan that emits lex_normal_form
+with words of up to 2,000 letters.  equivalent and trace_equivalent,
+which read from where two words first differ, are checked on pairs that
+share a prefix and a suffix of up to 2,000 actions or letters: against the
+fold's normal forms after one action is replaced or flipped or one rewrite
+rule is applied, and against the projections after a swap or a replaced
+letter in the middle.  The scan that emits lex_normal_form
 is checked against both the stack kernel and the heap-and-bucket kernel
 it replaced on words whose letters overtake the scan, under declaration
 and reversed order.  A test of another letter order declares the alphabet
@@ -234,7 +239,7 @@ def _declared(g, order):
 
 def _offset_key(u):
     """The offsets of u as a hashable class key."""
-    return tuple(sorted((x, tuple(o)) for x, o in _offsets(u).items()))
+    return tuple(sorted((x, tuple(o)) for x, o in _offsets(u.alphabet, u.word).items()))
 
 def test_lex_normal_form_matches_greedy_on_all_words_up_to_6():
     for g in _small_graphs():
@@ -255,7 +260,7 @@ def test_class_keys_are_the_offsets_and_separate_exactly_the_classes_up_to_6():
         offsets_of = {}
         for w, key, _ in _words_with_keys(g, images, 6):
             u = TraceWord(g, w)
-            offs = _offsets(u)
+            offs = _offsets(g, w)
             assert key == tuple(sum(1 << o for o in offs.get(x, ())) for x in g.letters), (g, w)
             nf = greedy_lex_normal_form(g, w)
             assert class_of.setdefault(key, nf) == nf, (g, w)
@@ -443,10 +448,133 @@ def test_trace_equivalent_matches_projections_on_random_graphs(gw):
     for v in others:
         want = projection_equivalent(g, w, v)
         assert trace_equivalent(TraceWord(g, w), TraceWord(g, v)) == want
-        assert (_offsets(TraceWord(g, w)) == _offsets(TraceWord(g, v))) == want
+        assert (_offsets(g, w) == _offsets(g, v)) == want
     assert trace_equivalent(TraceWord(g, w), TraceWord(g, others[0]))
     if i is not None:
         assert not trace_equivalent(TraceWord(g, w), TraceWord(g, others[-1]))
+
+
+def _swappable(w, j):
+    """Whether a rewrite rule, read either way, swaps w[j] and w[j + 1]: one
+    write x and one read ~y, with y != x, a read after them or a write
+    before them (the rules a ~b -> ~b a, a ~b ~c -> ~b a ~c and
+    a b ~c -> a ~c b)."""
+    a, b = w[j], w[j + 1]
+    if (a[0] == "~") == (b[0] == "~"):
+        return False
+    return (
+        a.lstrip("~") != b.lstrip("~")
+        or (j + 2 < len(w) and w[j + 2][0] == "~")
+        or (j > 0 and w[j - 1][0] != "~")
+    )
+
+
+@st.composite
+def near_equal_queue_pairs(draw):
+    """Two queue words that share a prefix and a suffix of up to 2,000
+    actions each and differ in between: one action replaced by another of
+    its kind or of the other kind, one read turned into a write of its
+    letter or back, or one rewrite rule applied at a random place."""
+    how = draw(st.sampled_from(("same kind", "other kind", "flip", "rule")))
+    letters = LETTERS[: draw(st.integers(min_value=2 if how == "same kind" else 1, max_value=3))]
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def run(n):
+        return _queue_run(letters, [(rng.choice((0, 0, 1, 1, 2)), rng.choice(letters)) for _ in range(n)])
+
+    p = run(draw(st.integers(min_value=0, max_value=2_000)))
+    s = run(draw(st.integers(min_value=0, max_value=2_000)))
+    x = run(draw(st.integers(min_value=1, max_value=8)))
+    i = rng.randrange(len(x))
+    a = x[i]
+    read = a[0] == "~"
+    if how == "same kind":
+        b = rng.choice([y for y in letters if y != a.lstrip("~")])
+        b = "~" + b if read else b
+    elif how == "other kind":
+        b = rng.choice(letters)
+        b = b if read else "~" + b
+    elif how == "flip":
+        b = a[1:] if read else "~" + a
+    else:
+        w = p + x + s
+        places = [j for j in range(len(w) - 1) if _swappable(w, j)]
+        if not places:
+            return w, w
+        j = rng.choice(places)
+        return w, w[:j] + (w[j + 1], w[j]) + w[j + 2:]
+    return p + x + s, p + x[:i] + (b,) + x[i + 1:] + s
+
+
+@given(near_equal_queue_pairs())
+@settings(max_examples=60, deadline=None)
+def test_equivalent_matches_the_fold_on_near_equal_long_pairs(uv):
+    u, v = uv
+    want = fold_normal_form(u) == fold_normal_form(v)
+    assert equivalent(u, v) == want
+    assert equivalent(v, u) == want
+
+
+@st.composite
+def padded_trace_pairs(draw):
+    """A random independence graph on 3 to 8 letters and two words p x s
+    and p y s, where p and s have up to 2,000 letters (either may be
+    empty, so the words can differ at their first or last position) and
+    the short x and y are equal, equivalent by swaps of independent
+    letters, apart by one swap of dependent letters, or apart by one
+    letter replaced by another (also where no two letters depend)."""
+    letters = tuple(string.ascii_letters[: draw(st.integers(min_value=3, max_value=8))])
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p_edge = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    g = IndependenceAlphabet(
+        letters, [e for e in itertools.combinations(letters, 2) if rng.random() < p_edge]
+    )
+    pad = draw(st.sampled_from(("both", "suffix only", "prefix only")))
+    p = tuple(rng.choice(letters) for _ in range(0 if pad == "suffix only" else rng.randrange(2_001)))
+    s = tuple(rng.choice(letters) for _ in range(0 if pad == "prefix only" else rng.randrange(2_001)))
+    x = tuple(rng.choice(letters) for _ in range(draw(st.integers(min_value=2, max_value=8))))
+    how = draw(st.sampled_from(("equal", "independent swaps", "dependent swap", "replaced letter")))
+    if how == "equal":
+        y = x
+    elif how == "independent swaps":
+        y = _swap_independent(g, x, rng, 3 * len(x))
+    elif how == "dependent swap" and any(not g.independent(*e) for e in itertools.combinations(letters, 2)):
+        c, d = rng.choice([e for e in itertools.combinations(letters, 2) if not g.independent(*e)])
+        i = rng.randrange(len(x) - 1)
+        x, y = x[:i] + (c, d) + x[i + 2:], x[:i] + (d, c) + x[i + 2:]
+    else:
+        i = rng.randrange(len(x))
+        y = x[:i] + (rng.choice([z for z in letters if z != x[i]]),) + x[i + 1:]
+    return g, p + x + s, p + y + s
+
+
+@given(padded_trace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_trace_equivalent_matches_projections_between_a_shared_prefix_and_suffix(guv):
+    g, u, v = guv
+    want = projection_equivalent(g, u, v)
+    assert trace_equivalent(TraceWord(g, u), TraceWord(g, v)) == want
+    assert trace_equivalent(TraceWord(g, v), TraceWord(g, u)) == want
+
+
+def test_trace_equivalent_at_the_ends_of_long_words():
+    # the words differ at the first position, the last, both or nowhere;
+    # a and b commute, c commutes with neither
+    g = IndependenceAlphabet(("a", "b", "c"), [("a", "b")])
+    mid = ("c", "a", "b") * 700
+    cases = [
+        (("a", "b") + mid, ("b", "a") + mid, True),
+        (("a", "c") + mid, ("c", "a") + mid, False),
+        (mid + ("a", "b"), mid + ("b", "a"), True),
+        (mid + ("c", "b"), mid + ("b", "c"), False),
+        (("a",) + mid + ("b",), ("b",) + mid + ("a",), False),
+        (("a", "b") + mid + ("a", "b"), ("b", "a") + mid + ("b", "a"), True),
+        (mid, mid, True),
+        (("a",) + mid, ("c",) + mid, False),
+    ]
+    for u, v, want in cases:
+        assert projection_equivalent(g, u, v) == want
+        assert trace_equivalent(TraceWord(g, u), TraceWord(g, v)) == want, (u[:3], v[:3], u[-3:], v[-3:])
 
 
 # -- the offset kernels against the stack kernels they replaced ---------------

@@ -152,6 +152,17 @@ def test_equivalent_examples():
     assert not equivalent(P("a~a"), P("~aa"))
 
 
+def test_equivalent_matches_rewriting_on_all_pairs_up_to_4():
+    # every ordered pair, equal and unequal lengths, against the classes of
+    # the rewriting oracle: the early exits on length and on the kinds of
+    # the first and last differing actions may never change the answer
+    words = list(queue_words_up_to(4))
+    cls = [rewrite_nf_oracle(w) for w in words]
+    for u, cu in zip(words, cls):
+        for v, cv in zip(words, cls):
+            assert equivalent(u, v) == (cu == cv), (u, v)
+
+
 # -- center shape -------------------------------------------------------------
 
 @given(queue_word_st)

@@ -2,7 +2,10 @@
 
 import itertools
 import random
+import sys
 import time
+import tracemalloc
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,7 @@ from quemon.witness import (
     _dominating_shift,
     _long_enough_shift,
     _p2p3_exponents,
+    _power_product,
 )
 
 from batteries import (
@@ -398,6 +402,23 @@ def test_every_report_is_verified():
         assert isinstance(r, WitnessReport)
         assert r.verified
         assert equivalent(r.lhs, r.rhs)
+
+
+def test_a_side_of_a_million_actions_peaks_near_its_own_size():
+    # the factor shapes of a conjugated witness: a short factor raised high
+    # and two long ones, or all three raised far; concatenating the powers
+    # one at a time holds the growing prefix next to its copy, twice the word
+    factors = (P("aa~a"), P("a" + "~a" * 420), P("a" * 420 + "~a"))
+    for exponents in ((340_000, 2, 2), (170_000, 420, 841)):
+        tracemalloc.start()
+        try:
+            side = _power_product(factors, exponents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(side) >= 1_000_000
+        assert side == sum(map(mul, factors, exponents), ())
+        assert peak < 1.5 * sys.getsizeof(side), (exponents, peak, sys.getsizeof(side))
 
 
 # -- letter classification --------------------------------------------------------
