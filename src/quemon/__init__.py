@@ -38,9 +38,7 @@ _EXPORTS = {
     "errors": (
         "AlphabetMismatchError",
         "CapExceededError",
-        "DegenerateSystemError",
         "EmptyWordError",
-        "IdentityImageError",
         "InternalError",
         "NotEmbeddableError",
         "NotPrimitiveError",
@@ -75,16 +73,11 @@ _EXPORTS = {
         "trace_equivalent",
     ),
     "witness": (
-        "GammaPartition",
         "WitnessReport",
-        "conjugacy_profile",
         "conjugated_witness",
-        "gamma_partition",
-        "mixed_exponent",
         "nonconjugated_witness",
         "p2p3_witness",
         "p4_witness",
-        "solve_projection_system",
     ),
     "words": (
         "ConjugacyDecomposition",

@@ -25,14 +25,6 @@ class RecipeMismatchError(PreconditionError):
     """An embedding recipe does not fit the alphabet or word it is applied to."""
 
 
-class DegenerateSystemError(PreconditionError):
-    """The linear system has no usable nontrivial solution."""
-
-
-class IdentityImageError(PreconditionError):
-    """A letter image may not be the identity element."""
-
-
 class NotEmbeddableError(ValueError):
     """The independence alphabet admits no embedding into a direct product
     of two free monoids.  Carries the classification as ``args[0]``."""

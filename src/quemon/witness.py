@@ -6,8 +6,7 @@ two sides of an equation, and verifies the equation by normal forms before
 returning it.  A report with verified=False is never returned; a failed
 check raises VerificationFailedError instead.  Exponents can grow with the
 square of the input, so a side of more than 10**7 actions raises
-CapExceededError before it is built.  gamma_partition sorts letter images
-by the sign classes that the hypotheses name: only writes, only reads, both.
+CapExceededError before it is built.
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CapExceededError,
-    DegenerateSystemError,
     EmptyWordError,
-    IdentityImageError,
     InternalError,
     PreconditionError,
     VerificationFailedError,
@@ -38,7 +35,6 @@ from .queue import (
 )
 from .words import (
     ConjugacyDecomposition,
-    Letter,
     Word,
     conjugacy_decomposition,
     is_primitive,
@@ -97,7 +93,7 @@ def _kernel_vector(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
     return z[0] // g, z[1] // g, z[2] // g
 
 
-def solve_projection_system(
+def _solve_projection_system(
     a: Sequence[int], b: Sequence[int], min_entry: int = 0
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Distinct vectors x, y over the naturals with a.x = a.y and b.x = b.y.
@@ -105,16 +101,9 @@ def solve_projection_system(
     All six entries are at least min_entry.  Found by taking an integer
     kernel vector of the two rows, splitting it into its positive and
     negative parts, and shifting both sides by the same constant, which
-    preserves the equations because the coefficient rows are shared.
+    preserves the equations because the coefficient rows are shared.  The
+    builders pass rows of three positive exponents.
     """
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != 3 or len(b) != 3:
-        raise PreconditionError("coefficient rows must have three entries")
-    if min_entry < 0:
-        raise PreconditionError("min_entry must be nonnegative")
-    if not any(a) and not any(b):
-        raise DegenerateSystemError("both coefficient rows are zero")
     z = _kernel_vector(a, b)
     x = tuple(max(zi, 0) + min_entry for zi in z)
     y = tuple(max(-zi, 0) + min_entry for zi in z)
@@ -123,40 +112,6 @@ def solve_projection_system(
     if sum(bi * xi for bi, xi in zip(b, x)) != sum(bi * yi for bi, yi in zip(b, y)):
         raise InternalError("kernel vector fails the second row")
     return x, y  # type: ignore[return-value]
-
-
-# -- sign pattern of letter images in the queue monoid -----------------------
-
-class GammaPartition(NamedTuple):
-    """Letters split by which projections of their image are nonempty."""
-
-    plus: tuple[Letter, ...]
-    minus: tuple[Letter, ...]
-    plusminus: tuple[Letter, ...]
-
-
-def gamma_partition(images: Mapping[Letter, QueueWord]) -> GammaPartition:
-    """Partition letters by the projections of their queue-monoid images.
-
-    'plus' collects letters whose image only writes, 'minus' those whose
-    image only reads, 'plusminus' the rest.  Images equivalent to the
-    identity are rejected.
-    """
-    plus: list[Letter] = []
-    minus: list[Letter] = []
-    both: list[Letter] = []
-    for x, w in images.items():
-        has_pos = bool(project_pos(w))
-        has_neg = bool(project_neg(w))
-        if not has_pos and not has_neg:
-            raise IdentityImageError(f"image of {x!r} is the identity")
-        if has_pos and has_neg:
-            both.append(x)
-        elif has_pos:
-            plus.append(x)
-        else:
-            minus.append(x)
-    return GammaPartition(tuple(plus), tuple(minus), tuple(both))
 
 
 # -- witness builders ---------------------------------------------------------
@@ -298,7 +253,7 @@ def nonconjugated_witness(
 
     a = tuple(_positive_exponent(project_pos(x), p, "write") for x in (u, v, w))
     b = tuple(_positive_exponent(project_neg(x), q, "read") for x in (u, v, w))
-    x0, y0 = solve_projection_system(a, b, min_entry=0)
+    x0, y0 = _solve_projection_system(a, b, min_entry=0)
     n = _long_enough_shift(a, b, x0, y0, len(p), len(q))
     xs = tuple(e + n for e in x0)
     ys = tuple(e + n for e in y0)
@@ -341,7 +296,7 @@ def _positive_exponent(proj: Word, base: Word, which: str) -> int:
 
 # -- powers with conjugate roots ----------------------------------------------
 
-def conjugacy_profile(
+def _conjugacy_profile(
     x: QueueNormalForm, dec: ConjugacyDecomposition
 ) -> tuple[int, int, int]:
     """Parameters (a, b, c) of an element whose projections are powers of p, q.
@@ -371,25 +326,15 @@ def _mixed_rows(
     )
 
 
-def mixed_exponent(profiles: Sequence[tuple[int, int, int]], x: Sequence[int]) -> int:
+def _mixed_exponent(profiles: Sequence[tuple[int, int, int]], x: Sequence[int]) -> int:
     """Exponent X with center(u^xu v^xv w^xw) = g q^X for conjugate roots.
 
     profiles lists (a, b, c) for the three factors as produced by
-    conjugacy_profile, with a, b >= 1; every exponent in x must be >= 2.
+    _conjugacy_profile, with a, b >= 1; every exponent in x is >= 2.
     X is the least of three affine forms, one per factor, each charging the
     factors to its left by their write exponents and those to its right by
     their read exponents.
     """
-    profiles = tuple(tuple(p) for p in profiles)
-    x = tuple(x)
-    if len(profiles) != 3 or any(len(p) != 3 for p in profiles):
-        raise PreconditionError("profiles must be three (a, b, c) triples")
-    if len(x) != 3:
-        raise PreconditionError("x must have three entries")
-    if any(p[0] < 1 or p[1] < 1 for p in profiles):
-        raise PreconditionError("projection exponents must be positive")
-    if any(e < 2 for e in x):
-        raise PreconditionError("every exponent must be at least 2")
     return min(_mixed_rows(profiles, x))
 
 
@@ -431,7 +376,7 @@ def conjugated_witness(
     minimum on both sides.
     """
     words = (u, v, w)
-    profiles = tuple(conjugacy_profile(normal_form(x), dec) for x in words)
+    profiles = tuple(_conjugacy_profile(normal_form(x), dec) for x in words)
 
     name, idx, coord = "trivial", (0, 1, 2), None
     if any(a != b for a, b, _ in profiles):
@@ -446,12 +391,12 @@ def conjugated_witness(
 
     rwords = tuple(words[i] for i in idx)
     rprof = tuple(profiles[i] for i in idx)
-    x0, y0 = solve_projection_system([p[0] for p in rprof], [p[1] for p in rprof], min_entry=2)
+    x0, y0 = _solve_projection_system([p[0] for p in rprof], [p[1] for p in rprof], min_entry=2)
     k = 0 if coord is None else _dominating_shift(rprof, x0, y0, coord)
     x = tuple(e + k if i == coord else e for i, e in enumerate(x0))
     y = tuple(e + k if i == coord else e for i, e in enumerate(y0))
 
-    if mixed_exponent(rprof, x) != mixed_exponent(rprof, y):
+    if _mixed_exponent(rprof, x) != _mixed_exponent(rprof, y):
         raise InternalError("center exponents of the two sides disagree")
 
     report = _verify(f"conjugated:{name}", x, y, (rwords, x), (rwords, y))

@@ -19,13 +19,11 @@ from quemon import (
     QueueNormalForm,
     TraceWord,
     TwoNontrivialComponents,
-    conjugacy_profile,
     conjugated_witness,
     decide_embeddable,
     is_primitive,
     letter_images,
     lex_normal_form,
-    mixed_exponent,
     multiply,
     nf_power,
     nonconjugated_witness,
@@ -37,6 +35,7 @@ from quemon import (
     power_mu,
     verify_embedding_bounded,
 )
+from quemon.witness import _conjugacy_profile, _mixed_exponent
 
 from batteries import (
     CONJUGATED_BATTERY,
@@ -210,7 +209,7 @@ def test_05_sandwich_form_and_power_overlap_match_brute_force():
 
 
 def test_06_mixed_center_exponent_matches_computed_centers():
-    """mixed_exponent predicts the center of u^xu v^xv w^xw exactly, over
+    """_mixed_exponent predicts the center of u^xu v^xv w^xw exactly, over
     all conjugate-root elements with |p| <= 2, projection exponents in
     {1, 2}, and power exponents in {2, 3}."""
     checks = 0
@@ -227,14 +226,14 @@ def test_06_mixed_center_exponent_matches_computed_centers():
                     QueueNormalForm(neg[: len(neg) - ell], center, pos[ell:])
                 )
         powers = {(i, x): nf_power(e, x) for i, e in enumerate(elements) for x in (2, 3)}
-        profiles = [conjugacy_profile(e, dec) for e in elements]
+        profiles = [_conjugacy_profile(e, dec) for e in elements]
         for iu, iv, iw in itertools.product(range(len(elements)), repeat=3):
             for x in itertools.product((2, 3), repeat=3):
                 prod = multiply(
                     multiply(powers[(iu, x[0])], powers[(iv, x[1])]),
                     powers[(iw, x[2])],
                 )
-                exp = mixed_exponent((profiles[iu], profiles[iv], profiles[iw]), x)
+                exp = _mixed_exponent((profiles[iu], profiles[iv], profiles[iw]), x)
                 assert prod.center == dec.g + q * exp, (dec, iu, iv, iw, x)
                 checks += 1
     print(f"PASS: mixed center exponent matches computed centers on {checks} products")

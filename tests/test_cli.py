@@ -22,6 +22,7 @@ from quemon import (
     TraceWord,
     action,
     decide_embeddable,
+    embed_to_two_free,
     format_normal_form,
     format_state,
     format_word,
@@ -374,6 +375,25 @@ def test_trace_commands_stay_linear_at_16000_letters(capsys, tmp_path, shape):
         assert _timed_run(capsys, *argv) == (0, line + "\n", ""), argv[0]
 
 
+@pytest.mark.parametrize("shape", ["K(300,300)", "16,000-letter matching"])
+def test_embed_stays_linear_in_its_output(capsys, tmp_path, shape):
+    # an image is a^i b in a component, so output grows with the index of
+    # each letter: words over the first 64 declared letters keep every
+    # image at 65 symbols or fewer per copy, whatever the alphabet's size
+    if shape == "K(300,300)":
+        left, right = [f"p{i}" for i in range(300)], [f"q{i}" for i in range(300)]
+        letters, independent = left + right, [[x, y] for x in left for y in right]
+    else:
+        letters = [f"l{i}" for i in range(16_000)]
+        independent = [letters[i:i + 2] for i in range(0, 16_000, 2)]
+    path = alphabet_file(tmp_path, "big.json", letters, independent)
+    g = IndependenceAlphabet.load(path)
+    rng = random.Random(9)
+    w = [rng.choice(letters[:64]) for _ in range(16_000)]
+    first, second = map(format_word, embed_to_two_free(g, TraceWord(g, w)))
+    assert _timed_run(capsys, "embed", path, " ".join(w)) == (0, f"({first} | {second})\n", "")
+
+
 # -- the exit contract under random argv -------------------------------------
 
 _ALPHABET_POOL = {
@@ -526,6 +546,20 @@ def test_witness_precondition_failure(capsys):
     assert code == 3
     assert err.startswith("precondition violated:")
     assert "commute" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("p2p3", "~a", "b", "~c"), "u must not read"),
+    (("nonconjugated", "ab~a", "ab~a", "ab~a", "aa", "b"), "p is not primitive"),
+    (("nonconjugated", "ab~a", "ab~a", "ab~a", "ab", "ba"), "must not be conjugate"),
+    (("conjugated", "b~a", "a~a", "a~a", "", "a"), "not a positive power"),
+    (("p4", "a", "a~b", "~c", "~c"), "u must not read"),
+], ids=["p2p3", "nonconjugated-not-primitive", "nonconjugated-conjugate", "conjugated", "p4"])
+def test_each_witness_kind_rejects_its_outside_input_with_exit_3(capsys, argv, reason):
+    code, out, err = run(capsys, "witness", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("precondition violated:") and reason in err
+    assert err.count("\n") == 1
 
 
 # -- error handling ----------------------------------------------------------------

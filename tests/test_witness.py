@@ -1,10 +1,12 @@
 """Witness equations: the exact solver, the four builders, their reports."""
 
+import contextlib
 import itertools
 import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from operator import mul
 
 import pytest
@@ -12,16 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from quemon import (
     ConjugacyDecomposition,
-    DegenerateSystemError,
-    IdentityImageError,
     PreconditionError,
     WitnessReport,
-    conjugacy_profile,
     conjugated_witness,
     equivalent,
     format_queue_word,
-    gamma_partition,
-    mixed_exponent,
     nonconjugated_witness,
     normal_form,
     p2p3_witness,
@@ -31,15 +28,18 @@ from quemon import (
     power_exponent,
     project_neg,
     project_pos,
-    solve_projection_system,
 )
+from quemon import witness
 from quemon.witness import (
     _ROTATIONS,
     _common_root_exponents,
+    _conjugacy_profile,
     _dominating_shift,
     _long_enough_shift,
+    _mixed_exponent,
     _p2p3_exponents,
     _power_product,
+    _solve_projection_system,
 )
 
 from batteries import (
@@ -61,21 +61,12 @@ P = parse_queue_word
 # -- the projection-length solver ------------------------------------------------
 
 def test_solver_examples():
-    x, y = solve_projection_system((1, 1, 1), (1, 1, 1))
+    x, y = _solve_projection_system((1, 1, 1), (1, 1, 1))
     assert x == (1, 0, 0)
     assert y == (0, 1, 0)
-    x, y = solve_projection_system((1, 2, 3), (3, 2, 1), min_entry=2)
+    x, y = _solve_projection_system((1, 2, 3), (3, 2, 1), min_entry=2)
     assert x == (3, 2, 3)
     assert y == (2, 4, 2)
-
-
-def test_solver_errors():
-    with pytest.raises(DegenerateSystemError):
-        solve_projection_system((0, 0, 0), (0, 0, 0))
-    with pytest.raises(PreconditionError):
-        solve_projection_system((1, 1), (1, 1, 1))
-    with pytest.raises(PreconditionError):
-        solve_projection_system((1, 1, 1), (1, 1, 1), min_entry=-1)
 
 
 coeff = st.integers(min_value=1, max_value=9)
@@ -84,7 +75,7 @@ coeff = st.integers(min_value=1, max_value=9)
 @given(st.tuples(coeff, coeff, coeff), st.tuples(coeff, coeff, coeff),
        st.integers(min_value=0, max_value=3))
 def test_solver_invariants(a, b, min_entry):
-    x, y = solve_projection_system(a, b, min_entry)
+    x, y = _solve_projection_system(a, b, min_entry)
     assert x != y
     assert all(e >= min_entry for e in x + y)
     assert sum(ai * xi for ai, xi in zip(a, x)) == sum(ai * yi for ai, yi in zip(a, y))
@@ -105,7 +96,7 @@ def test_solver_matches_gaussian_elimination_on_every_small_row_pair():
     for a in rows:
         for b in rows:
             if any(a) or any(b):
-                assert solve_projection_system(a, b) == _kernel_split(a, b, 0), (a, b)
+                assert _solve_projection_system(a, b) == _kernel_split(a, b, 0), (a, b)
 
 
 signed = st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3)
@@ -115,7 +106,7 @@ signed = st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3)
 @given(signed, signed, st.integers(min_value=0, max_value=3))
 def test_solver_matches_gaussian_elimination_on_signed_rows(a, b, min_entry):
     if any(a) or any(b):
-        assert solve_projection_system(a, b, min_entry) == _kernel_split(a, b, min_entry)
+        assert _solve_projection_system(a, b, min_entry) == _kernel_split(a, b, min_entry)
 
 
 def test_p2p3_exponents_match_the_kernel_of_the_3x4_system():
@@ -131,7 +122,7 @@ def test_nonconjugated_shift_matches_the_enlargement_loop():
     positive = list(itertools.product(range(1, 5), repeat=3))
     for a in positive:
         for b in positive:
-            x0, y0 = solve_projection_system(a, b)
+            x0, y0 = _solve_projection_system(a, b)
             for len_p, len_q in itertools.product(range(1, 5), repeat=2):
                 assert (_long_enough_shift(a, b, x0, y0, len_p, len_q)
                         == enlarge_until_long(a, b, x0, y0, len_p, len_q)), (a, b, len_p, len_q)
@@ -143,7 +134,7 @@ def test_conjugated_shift_matches_the_row_loop():
     while checked < 5_000:
         profiles = tuple((rng.randint(1, 9), rng.randint(1, 9), rng.randint(-1, 20))
                          for _ in range(3))
-        x0, y0 = solve_projection_system([p[0] for p in profiles], [p[1] for p in profiles], 2)
+        x0, y0 = _solve_projection_system([p[0] for p in profiles], [p[1] for p in profiles], 2)
         for coord in (0, 2):
             a, b, _ = profiles[coord]
             # the first factor is raised when it writes more than it reads,
@@ -172,7 +163,7 @@ def test_every_battery_report_matches_the_oracle_exponents():
 
     for u, v, w, dec, rotation in CONJUGATED_BATTERY:
         idx = dict(_ROTATIONS)[rotation]
-        rprof = [conjugacy_profile(normal_form((u, v, w)[i]), dec) for i in idx]
+        rprof = [_conjugacy_profile(normal_form((u, v, w)[i]), dec) for i in idx]
         x0, y0 = _kernel_split([p[0] for p in rprof], [p[1] for p in rprof], 2)
         if all(p[0] == p[1] for p in rprof):
             coord, k = 0, 0
@@ -283,28 +274,19 @@ def test_nonconjugated_preconditions():
 
 def test_conjugacy_profile_examples():
     dec = ConjugacyDecomposition((), ("a",))
-    assert conjugacy_profile(normal_form(P("a~a")), dec) == (1, 1, 1)
-    assert conjugacy_profile(normal_form(P("~aa")), dec) == (1, 1, 0)
-    assert conjugacy_profile(normal_form(P("a~aa")), dec) == (2, 1, 1)
+    assert _conjugacy_profile(normal_form(P("a~a")), dec) == (1, 1, 1)
+    assert _conjugacy_profile(normal_form(P("~aa")), dec) == (1, 1, 0)
+    assert _conjugacy_profile(normal_form(P("a~aa")), dec) == (2, 1, 1)
 
     dec = ConjugacyDecomposition(parse_word("a"), parse_word("b"))
-    assert conjugacy_profile(normal_form(P("~b~aab")), dec) == (1, 1, -1)
-    assert conjugacy_profile(normal_form(P("~ba~ab")), dec) == (1, 1, 0)
-    assert conjugacy_profile(normal_form(P("~ba~abab")), dec) == (2, 1, 0)
+    assert _conjugacy_profile(normal_form(P("~b~aab")), dec) == (1, 1, -1)
+    assert _conjugacy_profile(normal_form(P("~ba~ab")), dec) == (1, 1, 0)
+    assert _conjugacy_profile(normal_form(P("~ba~abab")), dec) == (2, 1, 0)
 
 
 def test_mixed_exponent_examples():
-    assert mixed_exponent([(1, 1, 0)] * 3, (2, 2, 2)) == 5
-    assert mixed_exponent([(1, 1, 1)] * 3, (2, 2, 2)) == 6
-
-
-def test_mixed_exponent_preconditions():
-    with pytest.raises(PreconditionError, match="at least 2"):
-        mixed_exponent([(1, 1, 0)] * 3, (2, 1, 2))
-    with pytest.raises(PreconditionError, match="positive"):
-        mixed_exponent([(0, 1, 0), (1, 1, 0), (1, 1, 0)], (2, 2, 2))
-    with pytest.raises(PreconditionError):
-        mixed_exponent([(1, 1, 0)] * 2, (2, 2, 2))
+    assert _mixed_exponent([(1, 1, 0)] * 3, (2, 2, 2)) == 5
+    assert _mixed_exponent([(1, 1, 1)] * 3, (2, 2, 2)) == 6
 
 
 def test_conjugated_anchor_values():
@@ -421,22 +403,86 @@ def test_a_side_of_a_million_actions_peaks_near_its_own_size():
         assert peak < 1.5 * sys.getsizeof(side), (exponents, peak, sys.getsizeof(side))
 
 
-# -- letter classification --------------------------------------------------------
 
-def test_gamma_partition():
-    from quemon import parse_queue_word
+# -- what the builders pass the solver and the center formula ------------------
 
-    images = {
-        "a": parse_queue_word("cc"),
-        "b": parse_queue_word("~d"),
-        "c": parse_queue_word("c~d"),
-    }
-    part = gamma_partition(images)
-    assert part.plus == ("a",)
-    assert part.minus == ("b",)
-    assert part.plusminus == ("c",)
+@contextlib.contextmanager
+def _helpers_asserting_their_inputs():
+    """Patch _solve_projection_system and _mixed_exponent with wrappers that
+    assert what their builders guarantee and then call the real function;
+    yields a Counter of the calls.  The helpers check none of this
+    themselves: no input from outside reaches them unfiltered."""
+    solve, mixed = witness._solve_projection_system, witness._mixed_exponent
+    calls = Counter()
+
+    def checked_solve(a, b, min_entry=0):
+        assert len(a) == len(b) == 3, (a, b)
+        assert min(*a, *b) >= 1, (a, b)  # so neither row is zero
+        assert min_entry in (0, 2), min_entry
+        calls["solve"] += 1
+        return solve(a, b, min_entry)
+
+    def checked_mixed(profiles, x):
+        assert len(profiles) == 3 and all(len(p) == 3 for p in profiles), profiles
+        assert all(a >= 1 and b >= 1 for a, b, _ in profiles), profiles
+        assert len(x) == 3 and min(x) >= 2, x
+        calls["mixed"] += 1
+        return mixed(profiles, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "_solve_projection_system", checked_solve)
+        mp.setattr(witness, "_mixed_exponent", checked_mixed)
+        yield calls
 
 
-def test_gamma_partition_rejects_identity_image():
-    with pytest.raises(IdentityImageError, match="a"):
-        gamma_partition({"a": ()})
+def test_every_battery_entry_passes_the_helpers_what_they_assume():
+    with _helpers_asserting_their_inputs() as calls:
+        reports = [p2p3_witness(*args) for args in P2P3_BATTERY]
+        reports += [p4_witness(*args) for args in P4_BATTERY]
+        assert calls == Counter()  # neither builder solves a system
+        reports += [nonconjugated_witness(*args) for args in NONCONJUGATED_BATTERY]
+        reports += [conjugated_witness(*args[:4]) for args in CONJUGATED_BATTERY]
+    assert calls == Counter(solve=len(NONCONJUGATED_BATTERY) + len(CONJUGATED_BATTERY),
+                            mixed=2 * len(CONJUGATED_BATTERY))
+    assert all(r.verified for r in reports)
+
+
+@st.composite
+def _factor(draw, p, q):
+    """A queue word writing p^a and reading q^b, a and b in 1..3, its
+    writes and reads interleaved at random."""
+    writes = list(p * draw(st.integers(min_value=1, max_value=3)))
+    reads = ["~" + x for x in q * draw(st.integers(min_value=1, max_value=3))]
+    order = draw(st.permutations([True] * len(writes) + [False] * len(reads)))
+    ws, rs = iter(writes), iter(reads)
+    return tuple(next(ws) if w else next(rs) for w in order)
+
+
+@st.composite
+def _three_factors(draw, roots):
+    p, q = draw(st.sampled_from(roots))
+    return (*(draw(_factor(p, q)) for _ in range(3)), p, q)
+
+
+NONCONJUGATE_ROOTS = [(("a",), ("b",)), (("a", "b"), ("a",)), (("a", "b"), ("a", "c")),
+                      (("a", "b"), ("a", "a", "b"))]
+DECOMPOSITIONS = [ConjugacyDecomposition((), ("a",)), ConjugacyDecomposition(("a",), ("b",)),
+                  ConjugacyDecomposition(("a",), ("a", "b"))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_three_factors(NONCONJUGATE_ROOTS))
+def test_random_nonconjugated_inputs_pass_the_solver_what_it_assumes(args):
+    with _helpers_asserting_their_inputs() as calls:
+        assert nonconjugated_witness(*args).verified
+    assert calls == Counter(solve=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_three_factors([(dec.p, dec.q) for dec in DECOMPOSITIONS]))
+def test_random_conjugated_inputs_pass_the_helpers_what_they_assume(args):
+    u, v, w, p, q = args
+    dec = next(dec for dec in DECOMPOSITIONS if (dec.p, dec.q) == (p, q))
+    with _helpers_asserting_their_inputs() as calls:
+        assert conjugated_witness(u, v, w, dec).verified
+    assert calls == Counter(solve=1, mixed=2)
