@@ -55,7 +55,6 @@ _EXPORTS = {
         "action",
         "equivalent",
         "format_normal_form",
-        "format_queue_word",
         "format_state",
         "format_word",
         "multiply",

@@ -71,10 +71,6 @@ class IndependenceAlphabet:
         self._adj = adj
         # each letter's neighbours in declaration order, sorted on first use
         self._neighbors: dict[Letter, tuple[Letter, ...]] = {}
-        # each letter's index and components in quemon.embed, with the
-        # images built so far, or the NotEmbeddable verdict; set on the
-        # first embedding over this alphabet
-        self._embedding: object = None
         # the letters and edges never change, so their hash is computed once
         self._hash: int | None = None
 

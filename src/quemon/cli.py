@@ -37,7 +37,6 @@ from .errors import (
 from .queue import (
     DEFAULT_ALPHABET,
     action,
-    action_letter,
     equivalent,
     format_normal_form,
     format_state,
@@ -46,7 +45,6 @@ from .queue import (
     normal_form,
     parse_queue_word,
     parse_word,
-    project_neg,
 )
 
 # kind -> (argument names, name of the builder in quemon.witness)
@@ -171,6 +169,11 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     search tries O(M + |letters|) queues, each in O(|u| + |v|) time, and
     holds one of them at a time whatever max_len is.
 
+    The search starts at the shorter of the read blocks r of the two normal
+    forms <r|c|w>: a queue shorter than r is emptied by those reads before
+    the word writes anything, so below both read blocks both words end at
+    BOTTOM.
+
     The search stops at length min(max_len, M + 1), M = max(|neg u|, |neg v|):
     a separating queue, if there is one, has length <= M + 1.  Proof: with
     normal form <r|c|w>, u maps q to (q.c)[|neg u|:].w when q.c starts with
@@ -185,12 +188,13 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     """
     import heapq
 
-    used = {action_letter(a) for a in u} | {action_letter(a) for a in v}
+    nfs = normal_form(u), normal_form(v)
+    reads = tuple(nf.neg() for nf in nfs)
+    used = set().union(*reads, *(nf.pos() for nf in nfs))
     extra = min((x for x in alphabet if x not in used), default=None)
     letters = sorted(used if extra is None else used | {extra})
-    reads = (project_neg(u), project_neg(v))
     bound = min(max_len, max(map(len, reads)) + 1)
-    for n in range(bound + 1):
+    for n in range(min(len(nf.reads) for nf in nfs), bound + 1):
         # a bound method per cone: a generator over s would see only the last s
         candidates = [
             (s[:n],) if n <= len(s)

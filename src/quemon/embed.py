@@ -8,10 +8,10 @@ the trace.  For the complete bipartite case the two clique projections
 trace.  Indexed letters are encoded into {a, b} by x_i -> a^i b, with the
 matching index or the letter's rank as i, which is uniquely decodable.
 
-The first embedding over an alphabet decides it once and caches, on the
-alphabet, each letter's index and components, in O(V + E); a letter's
-image is built on its first use.  The image of a word is the concatenation
-of its letters' images, O(n + output).
+The first embedding over an alphabet decides it once and keeps each
+letter's index and components, in O(V + E), while the alphabet lives; a
+letter's image is built on its first use.  The image of a word is the
+concatenation of its letters' images, O(n + output).
 
 verify_embedding_bounded enumerates the words of each length in letter
 order but extends only lexicographic normal forms.  The first word of a
@@ -37,6 +37,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
+from weakref import WeakKeyDictionary
 
 from .alphabet import (
     IndependenceAlphabet,
@@ -76,18 +77,27 @@ class _LetterImages(dict):
         return image
 
 
-def _build_images(g: IndependenceAlphabet) -> _LetterImages | NotEmbeddable:
-    """The letter images of g, or the verdict when g is not embeddable.
+# alphabet -> its letter images; equal alphabets share them, since the
+# images depend only on the letters and the edges
+_IMAGES: WeakKeyDictionary[IndependenceAlphabet, _LetterImages] = WeakKeyDictionary()
+
+
+def _images(g: IndependenceAlphabet) -> _LetterImages:
+    """The letter images of g, kept while g lives; raises NotEmbeddableError
+    when g is not embeddable.
 
     A matching recipe sends the letter with index i to (a^i b, a^i b), or
     to (a^i b, a^i b a^i b) in role 'b'.  A bipartite recipe sends the
     letter of rank r to a^r b in the first component when it lies in part1,
     in the second when it lies in part2, and in both when it is isolated.
-    O(V + E); no image is built here.
+    O(V + E) on the first call; no image is built here.
     """
+    images = _IMAGES.get(g)
+    if images is not None:
+        return images
     verdict = decide_embeddable(g)
     if isinstance(verdict, NotEmbeddable):
-        return verdict
+        raise NotEmbeddableError(verdict.reason)
     recipe = verdict.recipe
     if isinstance(recipe, MatchingRecipe):
         spec = {x: (i, 1, 2 if role == "b" else 1) for x, (i, role) in recipe.pairing.items()}
@@ -95,18 +105,8 @@ def _build_images(g: IndependenceAlphabet) -> _LetterImages | NotEmbeddable:
         spec = {x: (g.rank(x), 1, 1) for x in recipe.isolated}
         spec.update((x, (g.rank(x), 1, 0)) for x in recipe.part1)
         spec.update((x, (g.rank(x), 0, 1)) for x in recipe.part2)
-    return _LetterImages(spec)
-
-
-def _images(g: IndependenceAlphabet) -> _LetterImages:
-    """The letter images of g, cached on g; raises NotEmbeddableError when
-    g is not embeddable."""
-    images = g._embedding
-    if images is None:
-        images = g._embedding = _build_images(g)
-    if isinstance(images, NotEmbeddable):
-        raise NotEmbeddableError(images.reason)
-    return images  # type: ignore[return-value]
+    images = _IMAGES[g] = _LetterImages(spec)
+    return images
 
 
 def embed_to_two_free(g: IndependenceAlphabet, u: TraceWord) -> ProductWord:

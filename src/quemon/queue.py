@@ -83,10 +83,6 @@ BOTTOM = _BottomType()
 QueueState = Union[Word, _BottomType]
 
 
-def action_letter(a: Action) -> Letter:
-    return a[1:] if a[0] == "~" else a
-
-
 def action(state: QueueState, w: QueueWord) -> QueueState:
     """Apply the actions of w to the given queue contents.
 
@@ -255,61 +251,47 @@ def equivalent(u: QueueWord, v: QueueWord) -> bool:
 
 # -- text syntax -------------------------------------------------------------
 
-def _tokenize(text: str, letters: Collection[Letter]) -> tuple[Action, ...]:
-    letter_set = set(letters)
-    tokens: list[Action] = []
-    for chunk in text.split():
-        body = chunk[1:] if chunk.startswith("~") else chunk
-        if body in letter_set:
-            # a whole chunk naming one letter; required form for letters
-            # longer than one character
-            tokens.append(chunk)
-            continue
-        i = 0
-        while i < len(chunk):
-            if chunk[i] == "~":
-                if i + 1 >= len(chunk):
-                    raise ParseError(f"dangling ~ in {chunk!r}")
-                x = chunk[i + 1]
-                if x not in letter_set:
-                    raise ParseError(f"unknown letter {x!r} in {chunk!r}")
-                tokens.append("~" + x)
-                i += 2
-            else:
-                x = chunk[i]
-                if x not in letter_set:
-                    raise ParseError(f"unknown letter {x!r} in {chunk!r}")
-                tokens.append(x)
-                i += 1
-    return tuple(tokens)
-
-
-def parse_queue_word(text: str, alphabet: Collection[Letter] | None = None) -> QueueWord:
+def parse_queue_word(text: str, alphabet: Collection[Letter] = DEFAULT_ALPHABET) -> QueueWord:
     """Parse an action sequence; ``x`` writes, ``~x`` reads.
 
     Whitespace between tokens is optional for single-character letters and
-    required for longer ones.
+    required for longer ones: a chunk that names one letter, with or
+    without a leading ``~``, is one token, and any other chunk is read one
+    character at a time, a ``~`` marking the next letter as read.
     """
-    return _tokenize(text, DEFAULT_ALPHABET if alphabet is None else alphabet)
+    letter_set = set(alphabet)
+    tokens: list[Action] = []
+    for chunk in text.split():
+        if (chunk[1:] if chunk[0] == "~" else chunk) in letter_set:
+            tokens.append(chunk)
+            continue
+        read = False
+        for x in chunk:
+            if x == "~" and not read:
+                read = True
+            elif x not in letter_set:
+                raise ParseError(f"unknown letter {x!r} in {chunk!r}")
+            else:
+                tokens.append("~" + x if read else x)
+                read = False
+        if read:
+            raise ParseError(f"dangling ~ in {chunk!r}")
+    return tuple(tokens)
 
 
-def parse_word(text: str, alphabet: Collection[Letter] | None = None) -> Word:
+def parse_word(text: str, alphabet: Collection[Letter] = DEFAULT_ALPHABET) -> Word:
     """Parse a plain word over the base alphabet; read tokens are rejected."""
-    tokens = _tokenize(text, DEFAULT_ALPHABET if alphabet is None else alphabet)
+    tokens = parse_queue_word(text, alphabet)
     for t in tokens:
-        if t.startswith("~"):
+        if t[0] == "~":
             raise ParseError(f"read token {t!r} not allowed in a plain word")
     return tokens
 
 
-def format_word(w: Word) -> str:
-    if all(len(x) == 1 for x in w):
-        return "".join(w)
-    return " ".join(w)
-
-
-def format_queue_word(w: QueueWord) -> str:
-    if all(len(action_letter(a)) == 1 for a in w):
+def format_word(w: Word | QueueWord) -> str:
+    """A plain or queue word, joined without spaces when each element is
+    one character, or ~ and one character, and with spaces otherwise."""
+    if all(len(x) == 1 or len(x) == 2 and x[0] == "~" for x in w):
         return "".join(w)
     return " ".join(w)
 

@@ -28,7 +28,7 @@ from .queue import (
     QueueNormalForm,
     QueueWord,
     equivalent,
-    format_queue_word,
+    format_word,
     normal_form,
     project_neg,
     project_pos,
@@ -67,8 +67,8 @@ class WitnessReport:
             "kind": self.kind,
             "x": list(self.x),
             "y": None if self.y is None else list(self.y),
-            "lhs": format_queue_word(self.lhs),
-            "rhs": format_queue_word(self.rhs),
+            "lhs": format_word(self.lhs),
+            "rhs": format_word(self.rhs),
             "verified": self.verified,
         }
 
@@ -167,7 +167,7 @@ def _verify(kind: str, x, y, lhs: tuple, rhs: tuple) -> WitnessReport:
     if not equivalent(lhs, rhs):
         raise VerificationFailedError(
             f"{kind} equation failed its normal-form check: "
-            f"{format_queue_word(lhs)} vs {format_queue_word(rhs)}"
+            f"{format_word(lhs)} vs {format_word(rhs)}"
         )
     return WitnessReport(kind, tuple(x), None if y is None else tuple(y), lhs, rhs, True)
 

@@ -32,14 +32,15 @@ form, are mu (the center alone) and the block-shift identities.
 
 Between the exponent oracles and the brute-force ones sits reference code
 that nothing in the library calls, kept here as it was written there: the
-write and read action sequences of a plain word, the parser of printed
-normal forms, the sandwich form and the closed-form overlap for conjugate
-roots p = gh, q = hg (the latter through the library's overlap), clique
-projections, the decoder of binary-encoded indices, is_p4_free, the
-brute-force search for an induced path on four letters, and the two-pass
-embeddability decision: the components by a depth-first search over every
-letter, a second breadth-first search of the core, and the odd cycle from
-ancestor chains.
+write and read action sequences of a plain word, the index-scanning
+tokenizer and the queue-word printer that `parse_queue_word` and
+`format_word` replaced, the parser of printed normal forms, the sandwich
+form and the closed-form overlap for conjugate roots p = gh, q = hg (the
+latter through the library's overlap), clique projections, the decoder
+of binary-encoded indices, is_p4_free, the brute-force search for an
+induced path on four letters, and the two-pass embeddability decision:
+the components by a depth-first search over every letter, a second
+breadth-first search of the core, and the odd cycle from ancestor chains.
 """
 
 from __future__ import annotations
@@ -592,7 +593,44 @@ def read_actions(w):
     return tuple(["~" + x for x in w])
 
 
-def parse_normal_form(text, alphabet=None):
+def tokenize(text, letters):
+    """The actions of text over letters, scanning each chunk by index: a
+    ~ must be followed by a letter, which it reads."""
+    letter_set = set(letters)
+    tokens = []
+    for chunk in text.split():
+        body = chunk[1:] if chunk.startswith("~") else chunk
+        if body in letter_set:
+            tokens.append(chunk)
+            continue
+        i = 0
+        while i < len(chunk):
+            if chunk[i] == "~":
+                if i + 1 >= len(chunk):
+                    raise ParseError(f"dangling ~ in {chunk!r}")
+                x = chunk[i + 1]
+                if x not in letter_set:
+                    raise ParseError(f"unknown letter {x!r} in {chunk!r}")
+                tokens.append("~" + x)
+                i += 2
+            else:
+                x = chunk[i]
+                if x not in letter_set:
+                    raise ParseError(f"unknown letter {x!r} in {chunk!r}")
+                tokens.append(x)
+                i += 1
+    return tuple(tokens)
+
+
+def format_queue_word(w):
+    """w joined without spaces when the letter of each action, read or
+    written, is one character, and with spaces otherwise."""
+    if all(len(a[1:] if a[0] == "~" else a) == 1 for a in w):
+        return "".join(w)
+    return " ".join(w)
+
+
+def parse_normal_form(text, alphabet=DEFAULT_ALPHABET):
     if not (text.startswith("<") and text.endswith(">")):
         raise ParseError(f"normal form must look like <u1|u2|u3>, got {text!r}")
     parts = text[1:-1].split("|")

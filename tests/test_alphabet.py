@@ -24,7 +24,6 @@ from quemon import (
     TwoNontrivialComponents,
     decide_embeddable,
     format_normal_form,
-    format_queue_word,
     format_word,
     parse_queue_word,
     parse_word,
@@ -119,7 +118,7 @@ def test_printed_words_parse_back_over_accepted_alphabets(letters, data):
     w, u, v = data.draw(word), data.draw(word), data.draw(word)
     assert parse_word(format_word(w), g.letters) == w
     q = tuple("~" + x for x in u) + v
-    assert parse_queue_word(format_queue_word(q), g.letters) == q
+    assert parse_queue_word(format_word(q), g.letters) == q
     nf = QueueNormalForm(w, u, v)
     assert parse_normal_form(format_normal_form(nf), g.letters) == nf
 

@@ -71,6 +71,7 @@ from quemon import (
     trace_equivalent,
     verify_embedding_bounded,
 )
+from quemon import embed
 from quemon.trace import _offsets
 from quemon.words import match_step
 
@@ -887,7 +888,7 @@ def test_embedding_is_built_once_per_alphabet_at_4000_letters():
                         ([], ProductWord(last, last))):
         g = IndependenceAlphabet(letters, edges)
         assert _timed(embed_to_two_free, g, TraceWord(g, ("l3999",))) == want
-        assert len(g._embedding) == 1  # only the image the word used
+        assert len(embed._IMAGES[g]) == 1  # only the image the word used
         images = _timed(letter_images, IndependenceAlphabet(letters, edges))
         assert len(images) == 4_000 and images["l3999"] == want
     assert images["l0"] == ProductWord(("b",), ("b",))

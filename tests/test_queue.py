@@ -20,7 +20,6 @@ from quemon import (
     action,
     equivalent,
     format_normal_form,
-    format_queue_word,
     format_state,
     format_word,
     multiply,
@@ -35,12 +34,14 @@ from quemon import (
 
 from oracles import (
     bfs_class_oracle,
+    format_queue_word,
     generalized_shift,
     iterated_nf_power,
     mu,
     nf_to_queue_word,
     parse_normal_form,
     rewrite_nf_oracle,
+    tokenize,
 )
 
 ACTIONS = ("a", "b", "~a", "~b")
@@ -305,9 +306,42 @@ def test_parse_errors_name_the_offender():
         parse_word("a~b")
 
 
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _reference_plain(text, letters):
+    tokens = tokenize(text, letters)
+    for t in tokens:
+        if t.startswith("~"):
+            raise ParseError(f"read token {t!r} not allowed in a plain word")
+    return tokens
+
+
+def test_reader_and_writer_match_the_references():
+    # every string of up to 6 characters over the letters' characters, ~,
+    # a space and the unknown z: 80,979 strings over the three letter sets
+    for letters in (("a", "b"), ("a", "b", "cc"), ("a", "~")):
+        chars = sorted(set("".join(letters)) | {"~", " ", "z"})
+        for k in range(7):
+            for text in map("".join, itertools.product(chars, repeat=k)):
+                want = _outcome(tokenize, text, letters)
+                assert _outcome(parse_queue_word, text, letters) == want, (text, letters)
+                want = _outcome(_reference_plain, text, letters)
+                assert _outcome(parse_word, text, letters) == want, (text, letters)
+    # every word of up to 5 actions; plain words are the write-only ones
+    for letters in (("a", "b"), ("a", "bb"), ("aa", "bb")):
+        actions = letters + tuple("~" + x for x in letters)
+        for w in queue_words_up_to(5, actions):
+            assert format_word(w) == format_queue_word(w), w
+
+
 def test_format_and_round_trip():
     for text in ("", "a~b", "ab~a~b", "~a~a"):
-        assert format_queue_word(P(text)) == text
+        assert format_word(P(text)) == text
     assert format_word(("a", "b")) == "ab"
     assert format_word(("aa", "b")) == "aa b"
     assert format_state(BOTTOM) == "BOTTOM"

@@ -18,7 +18,7 @@ from quemon import (
     WitnessReport,
     conjugated_witness,
     equivalent,
-    format_queue_word,
+    format_word,
     nonconjugated_witness,
     normal_form,
     p2p3_witness,
@@ -327,8 +327,8 @@ def test_p4_anchor_values():
     assert r.kind == "p4"
     assert r.x == (1, 3, 1, 1, 1)
     assert r.y is None
-    assert format_queue_word(r.lhs) == "aaa~b~ba~ba"
-    assert format_queue_word(r.rhs) == "aaa~ba~ba~b"
+    assert format_word(r.lhs) == "aaa~b~ba~ba"
+    assert format_word(r.rhs) == "aaa~ba~ba~b"
 
     # t's exponent in the equation is a_u and u's trailing exponent is a_t
     r = p4_witness(P("aa"), P("a"), P("~b"), P("~b~b"))
