@@ -290,8 +290,9 @@ def parse_word(text: str, alphabet: Collection[Letter] = DEFAULT_ALPHABET) -> Wo
 
 def format_word(w: Word | QueueWord) -> str:
     """A plain or queue word, joined without spaces when each element is
-    one character, or ~ and one character, and with spaces otherwise."""
-    if all(len(x) == 1 or len(x) == 2 and x[0] == "~" for x in w):
+    one character, or ~ and one character, and with spaces otherwise.  Only
+    the distinct elements are tested, gathered at C speed."""
+    if all(len(x) == 1 or len(x) == 2 and x[0] == "~" for x in set(w)):
         return "".join(w)
     return " ".join(w)
 

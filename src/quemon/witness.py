@@ -1,12 +1,22 @@
 """Verified witness equations showing letter images must commute or align.
 
 Each builder takes queue-monoid elements satisfying structural hypotheses,
-derives exponent vectors by closed-form integer formulas, assembles the
-two sides of an equation, and verifies the equation by normal forms before
+normalises each distinct factor once, reads its checks and the projections
+its exponent formulas need off those normal forms, derives exponent
+vectors by closed-form integer formulas, and verifies the equation before
 returning it.  A report with verified=False is never returned; a failed
-check raises VerificationFailedError instead.  Exponents can grow with the
+check raises VerificationFailedError instead.
+
+The check works on the factors' normal forms, not on the flat sides.  A
+side's neg and pos are its factors' projections repeated by tuple
+arithmetic, and where its center may start follows from each factor's
+read block and exponent.  Two sides with equal neg and pos then differ
+only if one overlap of neg against pos, from the earlier start, ends
+before the later start (Huschenbett, Kuske and Zetzsche, "The monoid of
+queue actions", 2017, for the normal forms).  Exponents can grow with the
 square of the input, so a side of more than 10**7 actions raises
-CapExceededError before it is built.
+CapExceededError before anything is built; the flat sides are built only
+for the report, after the check.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -24,20 +34,13 @@ from .errors import (
     PreconditionError,
     VerificationFailedError,
 )
-from .queue import (
-    QueueNormalForm,
-    QueueWord,
-    equivalent,
-    format_word,
-    normal_form,
-    project_neg,
-    project_pos,
-)
+from .queue import QueueNormalForm, QueueWord, equivalent, format_word, normal_form
 from .words import (
     ConjugacyDecomposition,
     Word,
     conjugacy_decomposition,
     is_primitive,
+    overlap,
     power_exponent,
     primitive_root,
 )
@@ -121,34 +124,33 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _power_product(factors: Sequence[QueueWord], exponents: Sequence[int]) -> QueueWord:
-    """factors[0]^exponents[0] factors[1]^exponents[1] ... as one action word.
-
-    Raises CapExceededError, before building anything, when the word would
-    have more than _MAX_SIDE_ACTIONS actions.
-    """
-    size = sum(map(mul, map(len, factors), exponents))
-    if size > _MAX_SIDE_ACTIONS:
-        raise CapExceededError(
-            f"a side of the equation would have {size} actions, over the cap of {_MAX_SIDE_ACTIONS}"
-        )
-    return tuple(_PowerProduct(factors, exponents, size))
+def _normal_forms(*words: QueueWord) -> dict[QueueWord, QueueNormalForm]:
+    """The normal form of each distinct word, computed once."""
+    return {x: normal_form(x) for x in set(words)}
 
 
 class _PowerProduct:
-    """The actions of a product of powers, and their number.
+    """The actions of factors[0]^exponents[0] factors[1]^exponents[1] ...,
+    and their number.
 
-    tuple() reads the length from len() and allocates the word once, at its
-    final size, while the actions stream in: no power of a factor and no
-    prefix of the word is built.  Concatenating the powers holds a prefix
-    next to its copy, up to twice the word, and a tuple grown from an
-    iterator of unknown length is reallocated step by step, which leaves
-    the allocator holding more memory after many small witnesses.
+    The constructor raises CapExceededError, before anything is built, when
+    there are more than _MAX_SIDE_ACTIONS.  tuple() reads the length from
+    len() and allocates the word once, at its final size, while the actions
+    stream in: no power of a factor and no prefix of the word is built.
+    Concatenating the powers holds a prefix next to its copy, up to twice
+    the word, and a tuple grown from an iterator of unknown length is
+    reallocated step by step, which leaves the allocator holding more
+    memory after many small witnesses.
     """
 
     __slots__ = ("factors", "exponents", "size")
 
-    def __init__(self, factors: Sequence[QueueWord], exponents: Sequence[int], size: int) -> None:
+    def __init__(self, factors: Sequence[QueueWord], exponents: Sequence[int]) -> None:
+        size = sum(map(mul, map(len, factors), exponents))
+        if size > _MAX_SIDE_ACTIONS:
+            raise CapExceededError(
+                f"a side of the equation would have {size} actions, over the cap of {_MAX_SIDE_ACTIONS}"
+            )
         self.factors, self.exponents, self.size = factors, exponents, size
 
     def __len__(self) -> int:
@@ -159,12 +161,69 @@ class _PowerProduct:
         return chain(chain(map(itertools.repeat, self.factors, self.exponents)))
 
 
-def _verify(kind: str, x, y, lhs: tuple, rhs: tuple) -> WitnessReport:
-    """The report on lhs = rhs, each side given as (factors, exponents) and
-    built by _power_product; raises VerificationFailedError unless the two
-    sides are equivalent."""
-    lhs, rhs = _power_product(*lhs), _power_product(*rhs)
-    if not equivalent(lhs, rhs):
+def _side_projections(
+    forms: Mapping[QueueWord, QueueNormalForm], factors: Sequence[QueueWord],
+    exponents: Sequence[int],
+) -> tuple[Word, Word, int]:
+    """neg and pos of a product of powers, and s0, where its center may start.
+
+    A center starting at neg[s] pairs the read neg[s + i] with the write
+    pos[i], which comes before it, so s must exceed reads minus writes
+    before each read from neg[s] on; before an earlier read that count is
+    below s anyway.  s0 is the least such s >= 0, and the center is
+    overlap(neg[s0:], pos).  Each factor is taken in its normal form
+    <r|c|w>, whose reads see at most |r| - 1 more reads than writes since
+    the factor began, so a copy that reads asks for s > excess + |r| - 1,
+    with excess counted before the copy.  Each copy adds |r| - |w| to the
+    excess, so over e copies the last one asks most when |r| > |w|, and
+    the first one otherwise.  A copy with r empty asks for at most s >=
+    excess, which s0 already meets: the excess grows only through copies
+    with |r| > |w|, each asking for at least the excess after it.
+    """
+    neg = pos = ()
+    excess = s0 = 0  # reads minus writes before the factor; the start so far
+    for f, e in zip(factors, exponents):
+        r, c, w = forms[f]
+        step = len(r) - len(w)
+        if e:
+            start = excess + len(r) + (e - 1) * step if step > 0 else excess + len(r)
+            if start > s0:
+                s0 = start
+        excess += e * step
+        neg += (r + c) * e
+        pos += (c + w) * e
+    return neg, pos, s0
+
+
+def _sides_agree(forms: Mapping[QueueWord, QueueNormalForm], lhs: tuple, rhs: tuple) -> bool:
+    """Whether lhs and rhs, each (factors, exponents), are equivalent; forms
+    maps every factor to its normal form.
+
+    Two words are equivalent iff their neg, pos and centers agree.  With
+    neg and pos equal, the center found from the earlier start s0 is the
+    longest candidate for both sides when it begins at or after the later
+    start, and else the later side cannot reach it, so one overlap decides.
+    Equal starts give equal centers and need none.
+    """
+    neg, pos, s_lhs = _side_projections(forms, *lhs)
+    neg_rhs, pos_rhs, s_rhs = _side_projections(forms, *rhs)
+    if neg != neg_rhs or pos != pos_rhs:
+        return False
+    lo, hi = (s_lhs, s_rhs) if s_lhs < s_rhs else (s_rhs, s_lhs)
+    return lo == hi or len(overlap(neg[lo:], pos)) <= len(neg) - hi
+
+
+def _verify(
+    kind: str, x, y, forms: Mapping[QueueWord, QueueNormalForm], lhs: tuple, rhs: tuple
+) -> WitnessReport:
+    """The report on lhs = rhs, each side given as (factors, exponents),
+    where forms maps every factor to its normal form.  Both sides are
+    checked against the cap, compared by _sides_agree, and only then built
+    for the report; raises VerificationFailedError unless they agree."""
+    lhs_word, rhs_word = _PowerProduct(*lhs), _PowerProduct(*rhs)
+    agree = _sides_agree(forms, lhs, rhs)
+    lhs, rhs = tuple(lhs_word), tuple(rhs_word)
+    if not agree:
         raise VerificationFailedError(
             f"{kind} equation failed its normal-form check: "
             f"{format_word(lhs)} vs {format_word(rhs)}"
@@ -182,18 +241,21 @@ def p2p3_witness(u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:
     long enough to absorb all reads to its right.
     """
     _require(bool(u) and bool(v) and bool(w), "u, v, w must be nonempty")
-    _require(not project_neg(u), "u must not read")
+    forms = _normal_forms(u, v, w)
+    nu, nv, nw = forms[u], forms[v], forms[w]
+    _require(not nu.neg(), "u must not read")
     _require(equivalent(v + w, w + v), "v and w must commute")
-    _require(not equivalent(v, w), "v and w must be inequivalent")
+    _require(nv != nw, "v and w must be inequivalent")
 
-    a_v, a_w = _common_root_exponents(project_pos(v), project_pos(w))
-    b_v, b_w = _common_root_exponents(project_neg(v), project_neg(w))
+    neg_v, neg_w = nv.neg(), nw.neg()
+    a_v, a_w = _common_root_exponents(nv.pos(), nw.pos())
+    b_v, b_w = _common_root_exponents(neg_v, neg_w)
 
     x_v, x_w = _p2p3_exponents(a_v, a_w, b_v, b_w)
-    reads = len(project_neg(v)) * x_v + len(project_neg(w)) * x_w
+    reads = len(neg_v) * x_v + len(neg_w) * x_w
     x_u = -(-reads // len(u))
     x = (x_u, x_v, x_w)
-    report = _verify("p2p3", x, x, ((u, v, u, w), (x_u, x_v, 1, x_w)),
+    report = _verify("p2p3", x, x, forms, ((u, v, u, w), (x_u, x_v, 1, x_w)),
                      ((u, w, u, v), (x_u, x_w, 1, x_v)))
     if x_v + x_w == 0:
         raise InternalError("trivial exponents for v and w")
@@ -251,13 +313,14 @@ def nonconjugated_witness(
     if len(p) == len(q) and conjugacy_decomposition(p, q) is not None:
         raise PreconditionError("p and q must not be conjugate")
 
-    a = tuple(_positive_exponent(project_pos(x), p, "write") for x in (u, v, w))
-    b = tuple(_positive_exponent(project_neg(x), q, "read") for x in (u, v, w))
+    forms = _normal_forms(u, v, w)
+    a = tuple(_positive_exponent(forms[x].pos(), p, "write") for x in (u, v, w))
+    b = tuple(_positive_exponent(forms[x].neg(), q, "read") for x in (u, v, w))
     x0, y0 = _solve_projection_system(a, b, min_entry=0)
     n = _long_enough_shift(a, b, x0, y0, len(p), len(q))
     xs = tuple(e + n for e in x0)
     ys = tuple(e + n for e in y0)
-    report = _verify("nonconjugated", xs, ys, ((u, v, w), xs), ((u, v, w), ys))
+    report = _verify("nonconjugated", xs, ys, forms, ((u, v, w), xs), ((u, v, w), ys))
     if xs == ys:
         raise InternalError("exponent vectors collapsed")
     return report
@@ -376,7 +439,8 @@ def conjugated_witness(
     minimum on both sides.
     """
     words = (u, v, w)
-    profiles = tuple(_conjugacy_profile(normal_form(x), dec) for x in words)
+    forms = _normal_forms(*words)
+    profiles = tuple(_conjugacy_profile(forms[x], dec) for x in words)
 
     name, idx, coord = "trivial", (0, 1, 2), None
     if any(a != b for a, b, _ in profiles):
@@ -399,7 +463,7 @@ def conjugated_witness(
     if _mixed_exponent(rprof, x) != _mixed_exponent(rprof, y):
         raise InternalError("center exponents of the two sides disagree")
 
-    report = _verify(f"conjugated:{name}", x, y, (rwords, x), (rwords, y))
+    report = _verify(f"conjugated:{name}", x, y, forms, (rwords, x), (rwords, y))
     if x == y:
         raise InternalError("exponent vectors collapsed")
     return report
@@ -414,22 +478,22 @@ def p4_witness(t: QueueWord, u: QueueWord, v: QueueWord, w: QueueWord) -> Witnes
     lists (x_t, x_u1, x_u2, x_v, x_w) and y is None.
     """
     _require(all((t, u, v, w)), "t, u, v, w must be nonempty")
-    _require(not project_neg(u), "u must not read")
-    _require(not project_pos(v), "v must not write")
+    forms = _normal_forms(t, u, v, w)
+    nt, nu, nv, nw = forms[t], forms[u], forms[v], forms[w]
+    _require(not nu.neg(), "u must not read")
+    _require(not nv.pos(), "v must not write")
     _require(equivalent(v + w, w + v), "v and w must commute")
     _require(equivalent(t + u, u + t), "t and u must commute")
 
-    a_u, a_t = _common_root_exponents(project_pos(u), project_pos(t))
-    b_v, b_w = _common_root_exponents(project_neg(v), project_neg(w))
+    neg_v, neg_w = nv.neg(), nw.neg()
+    a_u, a_t = _common_root_exponents(nu.pos(), nt.pos())
+    b_v, b_w = _common_root_exponents(neg_v, neg_w)
 
-    reads = (
-        len(project_neg(v)) * b_w
-        + len(project_neg(w)) * (1 + b_v)
-        + len(project_neg(t)) * a_u
-    )
+    reads = len(neg_v) * b_w + len(neg_w) * (1 + b_v) + len(nt.neg()) * a_u
     x_u1 = -(-reads // len(u))
     x = (a_u, x_u1, a_t, b_w, b_v)
-    report = _verify("p4", x, None, ((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t)),
+    report = _verify("p4", x, None, forms,
+                     ((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t)),
                      ((u, w, u, w, t, v), (x_u1, 1, a_t, b_v, a_u, b_w)))
     if a_u == 0 or b_v == 0:
         raise InternalError("trivial exponents for t and w")

@@ -2,6 +2,7 @@
 fast commands on worst-case inputs, and a fuzz test of the exit contract."""
 
 import argparse
+import hashlib
 import io
 import itertools
 import json
@@ -603,7 +604,7 @@ def test_hostile_alphabet_files_exit_2(capsys, tmp_path, content):
 def test_failed_verification_exits_5(capsys, monkeypatch):
     import quemon.witness
 
-    monkeypatch.setattr(quemon.witness, "equivalent", lambda u, v: False)
+    monkeypatch.setattr(quemon.witness, "_sides_agree", lambda forms, lhs, rhs: False)
     code, out, err = run(capsys, "witness", "nonconjugated",
                          "a~b", "a~b", "a~b", "a", "b")
     assert (code, out) == (5, "")
@@ -633,6 +634,42 @@ def test_witness_over_the_size_cap_exits_5(capsys):
     assert (code, out) == (5, "")
     assert err.startswith("runtime error (CapExceededError): ")
     assert "10141301" in err and err.count("\n") == 1
+
+
+# the output of the witness below, unchanged since the check moved from the
+# flat sides to the factors' normal forms
+NEAR_CAP_SHA256 = "3922ceb99071a43b44591b5ba6377b42f3c43c95ccb89a69ca31e7b034f3d05a"
+NEAR_CAP_MAX_RSS_MB = 320
+
+
+def test_witness_near_its_cap_stays_under_its_time_and_memory_bounds():
+    # each side holds 9,985,891 actions, just under the cap.  Checking the
+    # flat sides by two normal-form scans peaked at 372 MB and took 7.4 s;
+    # the check on the factors' normal forms peaks at 244 MB in about 2 s.
+    # The child reads its own peak, RUSAGE_SELF, after main returns: a peak
+    # over RUSAGE_CHILDREN would be the largest of every child this test
+    # process ever waited for.  tracemalloc misses the transient copy of a
+    # moving realloc and memory the allocator keeps; ru_maxrss does not
+    n = 1290
+    argv = ["witness", "conjugated", "aa~a", "a" + "~a" * n, "a" * n + "~a", "", "a"]
+    child = (
+        "import resource, sys\n"
+        "from quemon.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quemon.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert elapsed < CAP_S, f"took {elapsed:.1f}s"
+    assert hashlib.sha256(proc.stdout).hexdigest() == NEAR_CAP_SHA256
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss counts KB on Linux
+    assert peak_mb < NEAR_CAP_MAX_RSS_MB, f"peaked at {peak_mb:.0f} MB"
 
 
 class _ClosedPipe(io.StringIO):

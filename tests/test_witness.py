@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from quemon import (
     ConjugacyDecomposition,
     PreconditionError,
+    QueueNormalForm,
+    VerificationFailedError,
     WitnessReport,
     conjugated_witness,
     equivalent,
@@ -38,8 +40,11 @@ from quemon.witness import (
     _long_enough_shift,
     _mixed_exponent,
     _p2p3_exponents,
-    _power_product,
+    _normal_forms,
+    _PowerProduct,
+    _sides_agree,
     _solve_projection_system,
+    _verify,
 )
 
 from batteries import (
@@ -52,6 +57,7 @@ from oracles import (
     enlarge_until_long,
     fraction_kernel_vector,
     kernel_p2p3_exponents,
+    nf_to_queue_word,
     raise_until_dominant,
 )
 
@@ -186,7 +192,7 @@ def test_conjugated_far_from_row_domination_is_solved_directly():
     elapsed = time.perf_counter() - start
     assert r.verified and r.kind == "conjugated:trivial"
     assert r.x == (2_007_005, 2, 2) and r.y == (1_003_002, 1_002, 2_005)
-    assert elapsed < 60, f"took {elapsed:.1f}s"  # about 4 s, nearly all in the check
+    assert elapsed < 60, f"took {elapsed:.1f}s"  # about 0.5 s
 
 
 # -- write-block against two commuting factors ------------------------------------
@@ -394,7 +400,7 @@ def test_a_side_of_a_million_actions_peaks_near_its_own_size():
     for exponents in ((340_000, 2, 2), (170_000, 420, 841)):
         tracemalloc.start()
         try:
-            side = _power_product(factors, exponents)
+            side = tuple(_PowerProduct(factors, exponents))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -486,3 +492,170 @@ def test_random_conjugated_inputs_pass_the_helpers_what_they_assume(args):
     with _helpers_asserting_their_inputs() as calls:
         assert conjugated_witness(u, v, w, dec).verified
     assert calls == Counter(solve=1, mixed=2)
+
+
+# -- the side check against equivalent on the flat sides ------------------------
+
+def _flat(side):
+    return tuple(_PowerProduct(*side))
+
+
+def _agrees_like_equivalent(lhs, rhs):
+    forms = _normal_forms(*lhs[0], *rhs[0])
+    return _sides_agree(forms, lhs, rhs) == equivalent(_flat(lhs), _flat(rhs))
+
+
+def _same_projection_words(w):
+    """A normal-form word of every class with the projections of w, its own
+    class included: one per center that is a suffix of neg and a prefix of
+    pos."""
+    nf = normal_form(w)
+    neg, pos = nf.neg(), nf.pos()
+    return [nf_to_queue_word(QueueNormalForm(neg[:len(neg) - k], pos[:k], pos[k:]))
+            for k in range(min(len(neg), len(pos)) + 1) if neg[len(neg) - k:] == pos[:k]]
+
+
+def _battery_sides():
+    """(lhs, rhs) of every battery equation, each (factors, exponents), as
+    the builders pass them to _sides_agree."""
+    sides = []
+
+    def record(forms, lhs, rhs):
+        sides.append((lhs, rhs))
+        return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "_sides_agree", record)
+        for args in P2P3_BATTERY:
+            p2p3_witness(*args)
+        for args in NONCONJUGATED_BATTERY:
+            nonconjugated_witness(*args)
+        for args in CONJUGATED_BATTERY:
+            conjugated_witness(*args[:4])
+        for args in P4_BATTERY:
+            p4_witness(*args)
+    return sides
+
+
+def test_side_check_equals_equivalent_on_every_battery_entry():
+    sides = _battery_sides()
+    assert len(sides) == (len(P2P3_BATTERY) + len(NONCONJUGATED_BATTERY)
+                          + len(CONJUGATED_BATTERY) + len(P4_BATTERY))
+    for lhs, rhs in sides:
+        assert _sides_agree(_normal_forms(*lhs[0], *rhs[0]), lhs, rhs), (lhs, rhs)
+        assert _agrees_like_equivalent(lhs, rhs), (lhs, rhs)
+        # every single exponent moved by one, on either side
+        for i, e in enumerate(rhs[1]):
+            for d in (-1, 1) if e else (1,):
+                moved = rhs[1][:i] + (e + d,) + rhs[1][i + 1:]
+                assert _agrees_like_equivalent(lhs, (rhs[0], moved)), (lhs, rhs, i, d)
+                assert _agrees_like_equivalent((rhs[0], moved), lhs), (lhs, rhs, i, d)
+        # the flat lhs against every class that shares its projections
+        for word in _same_projection_words(_flat(lhs)):
+            assert _agrees_like_equivalent(rhs, ((word,), (1,))), (lhs, rhs, word)
+
+
+SMALL_FACTORS = [w for n in range(1, 4) for w in itertools.product(("a", "b", "~a", "~b"), repeat=n)]
+
+
+def test_side_check_equals_equivalent_on_two_small_powers_against_each_class_of_their_projections():
+    # every side f^e g^d with f, g of 1 to 3 actions over {a, b} and e, d
+    # in 0..3, against each class sharing its neg and pos: its own class
+    # and every other center
+    forms = _normal_forms(*SMALL_FACTORS)
+    checked = equivalent_pairs = 0
+    for f, g in itertools.product(SMALL_FACTORS, repeat=2):
+        for e, d in itertools.product(range(4), repeat=2):
+            lhs = ((f, g), (e, d))
+            flat = _flat(lhs)
+            for word in _same_projection_words(flat):
+                if word not in forms:
+                    forms[word] = normal_form(word)
+                got = _sides_agree(forms, lhs, ((word,), (1,)))
+                assert got == equivalent(flat, word), (lhs, word)
+                checked += 1
+                equivalent_pairs += got
+    assert (checked, equivalent_pairs) == (194_082, 112_896)
+
+
+_small_factor = st.lists(st.sampled_from(("a", "b", "~a", "~b")), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _power_product(draw):
+    """Up to six powers of factors of 1 to 4 actions, exponents up to 50."""
+    factors = tuple(draw(st.lists(_small_factor, min_size=1, max_size=6)))
+    exponents = tuple(draw(st.lists(st.integers(min_value=0, max_value=50),
+                                    min_size=len(factors), max_size=len(factors))))
+    return factors, exponents
+
+
+@st.composite
+def _side_pairs(draw):
+    """A product of powers and a second side: another product, the first
+    with one exponent moved, the first with each power split in two, or a
+    class sharing the first side's projections."""
+    lhs = draw(_power_product())
+    factors, exponents = lhs
+    how = draw(st.sampled_from(("other", "moved", "split", "same projections")))
+    if how == "other":
+        rhs = draw(_power_product())
+    elif how == "moved":
+        i = draw(st.integers(min_value=0, max_value=len(factors) - 1))
+        e = max(0, exponents[i] + draw(st.sampled_from((-1, 1))))
+        rhs = (factors, exponents[:i] + (e,) + exponents[i + 1:])
+    elif how == "split":
+        cuts = [draw(st.integers(min_value=0, max_value=e)) for e in exponents]
+        rhs = (tuple(f for f in factors for _ in (0, 1)),
+               tuple(x for e, c in zip(exponents, cuts) for x in (c, e - c)))
+    else:
+        rhs = ((draw(st.sampled_from(_same_projection_words(_flat(lhs)))),), (1,))
+    return lhs, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_side_pairs())
+def test_side_check_equals_equivalent_on_products_of_up_to_six_powers(pair):
+    lhs, rhs = pair
+    assert _agrees_like_equivalent(lhs, rhs)
+    assert _agrees_like_equivalent(rhs, lhs)
+
+
+@pytest.mark.parametrize("kind, builder, args", [
+    ("p2p3", p2p3_witness, P2P3_BATTERY[7]),
+    ("nonconjugated", nonconjugated_witness, NONCONJUGATED_BATTERY[1]),
+    ("conjugated", conjugated_witness, CONJUGATED_BATTERY[5][:4]),
+    ("p4", p4_witness, P4_BATTERY[1]),
+])
+def test_one_changed_exponent_fails_verification(kind, builder, args):
+    r = builder(*args)
+    if kind == "p2p3":
+        u, v, w = args
+        factors = (u, v, u, w), (u, w, u, v)
+        exponents = (r.x[0], r.x[1], 1, r.x[2]), (r.y[0], r.y[2], 1, r.y[1])
+    elif kind == "p4":
+        t, u, v, w = args
+        x_t, x_u1, x_u2, x_v, x_w = r.x
+        factors = (u, v, w, t, w, u), (u, w, u, w, t, v)
+        exponents = (x_u1, x_v, 1, x_t, x_w, x_u2), (x_u1, 1, x_u2, x_w, x_t, x_v)
+    else:
+        idx = dict(_ROTATIONS)[r.kind.split(":")[1]] if kind == "conjugated" else (0, 1, 2)
+        words = tuple(args[i] for i in idx)
+        factors, exponents = (words, words), (r.x, r.y)
+    forms = _normal_forms(*factors[0], *factors[1])
+    lhs, rhs = (factors[0], exponents[0]), (factors[1], exponents[1])
+    assert _flat(lhs) == r.lhs and _flat(rhs) == r.rhs
+    assert _verify(r.kind, r.x, r.y, forms, lhs, rhs) == r
+    for i in range(len(exponents[1])):
+        moved = exponents[1][:i] + (exponents[1][i] + 1,) + exponents[1][i + 1:]
+        with pytest.raises(VerificationFailedError, match=f"^{r.kind} equation failed"):
+            _verify(r.kind, r.x, r.y, forms, lhs, (factors[1], moved))
+
+
+def test_sides_with_equal_projections_and_different_centers_fail_verification():
+    # a ~a and ~a a read and write the same letter; only the first has a center
+    lhs, rhs = ((P("a~a"),), (3,)), ((P("~aa"),), (3,))
+    forms = _normal_forms(P("a~a"), P("~aa"))
+    with pytest.raises(VerificationFailedError,
+                       match=r"^k equation failed its normal-form check: a~aa~aa~a vs ~aa~aa~aa$"):
+        _verify("k", (3,), (3,), forms, lhs, rhs)
