@@ -63,8 +63,6 @@ _EXPORTS = {
         "parse_queue_word",
         "parse_word",
         "power_mu",
-        "project_neg",
-        "project_pos",
     ),
     "trace": (
         "TraceWord",

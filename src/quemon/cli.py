@@ -35,9 +35,9 @@ from .errors import (
     VerificationFailedError,
 )
 from .queue import (
+    BOTTOM,
     DEFAULT_ALPHABET,
     action,
-    equivalent,
     format_normal_form,
     format_state,
     format_word,
@@ -153,8 +153,16 @@ def _cmd_mul(ns: argparse.Namespace) -> tuple[object, str]:
     return _nf_payload(nf), format_normal_form(nf)
 
 
-def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_ALPHABET):
-    """Shortest queue (by length, then letter order) on which u and v act differently.
+def _image(nf, q):
+    """What a word with normal form nf = <r|c|w> makes of the queue q:
+    (q.c)[|rc|:].w when q.c starts with rc, and BOTTOM otherwise."""
+    neg, qc = nf.neg(), q + nf.center
+    return qc[len(neg):] + nf.writes if qc[: len(neg)] == neg else BOTTOM
+
+
+def _distinguishing_queue(nfs, max_len: int, alphabet: Sequence[str] = DEFAULT_ALPHABET):
+    """Shortest queue (by length, then letter order) on which the words with
+    normal forms nfs = (nf u, nf v) act differently.
 
     The queue's letters are those of u and v plus the least letter of the
     alphabet that neither uses: such a letter blocks every read, so it
@@ -166,7 +174,7 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     s, the prefix s[:n] or the cone s.A^(n-|s|), merged in letter order.
     Inside the cone of s the word reading s is defined on every queue, and
     the other word only on the queues that agree with its own reads, so the
-    search tries O(M + |letters|) queues, each in O(|u| + |v|) time, and
+    search tries O(M + |letters|) queues, each by _image at C speed, and
     holds one of them at a time whatever max_len is.
 
     The search starts at the shorter of the read blocks r of the two normal
@@ -188,7 +196,6 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
     """
     import heapq
 
-    nfs = normal_form(u), normal_form(v)
     reads = tuple(nf.neg() for nf in nfs)
     used = set().union(*reads, *(nf.pos() for nf in nfs))
     extra = min((x for x in alphabet if x not in used), default=None)
@@ -202,7 +209,7 @@ def _distinguishing_queue(u, v, max_len: int, alphabet: Sequence[str] = DEFAULT_
             for s in reads
         ]
         for q in heapq.merge(*candidates):
-            if action(q, u) != action(q, v):
+            if _image(nfs[0], q) != _image(nfs[1], q):
                 return q
     return None
 
@@ -213,14 +220,15 @@ def _cmd_eq(ns: argparse.Namespace) -> tuple[object, str]:
     letters = _letters(ns)
     u = parse_queue_word(ns.word1, letters)
     v = parse_queue_word(ns.word2, letters)
-    if equivalent(u, v):
+    nfs = normal_form(u), normal_form(v)
+    if nfs[0] == nfs[1]:
         return {"equivalent": True}, "EQUIVALENT"
-    queue = _distinguishing_queue(u, v, ns.max_len, letters)
+    queue = _distinguishing_queue(nfs, ns.max_len, letters)
     if queue is None:
         text = f"DISTINGUISHED: no separating queue up to length {ns.max_len}"
         return {"equivalent": False, "queue": None}, text
     shown = format_word(queue)
-    lhs, rhs = format_state(action(queue, u)), format_state(action(queue, v))
+    lhs, rhs = (format_state(_image(nf, queue)) for nf in nfs)
     payload = {"equivalent": False, "queue": shown, "lhs": lhs, "rhs": rhs}
     return payload, f"DISTINGUISHED queue='{shown}' lhs={lhs} rhs={rhs}"
 

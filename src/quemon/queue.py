@@ -102,16 +102,6 @@ def action(state: QueueState, w: QueueWord) -> QueueState:
     return tuple(queue[head:])
 
 
-def project_pos(w: QueueWord) -> Word:
-    """The written letters of w, in order."""
-    return tuple([a for a in w if a[0] != "~"])
-
-
-def project_neg(w: QueueWord) -> Word:
-    """The read letters of w, in order."""
-    return tuple([a[1:] for a in w if a[0] == "~"])
-
-
 class QueueNormalForm(NamedTuple):
     """Irreducible representative <reads|center|writes> of an equivalence class."""
 

@@ -255,11 +255,10 @@ def p2p3_witness(u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:
     reads = len(neg_v) * x_v + len(neg_w) * x_w
     x_u = -(-reads // len(u))
     x = (x_u, x_v, x_w)
-    report = _verify("p2p3", x, x, forms, ((u, v, u, w), (x_u, x_v, 1, x_w)),
-                     ((u, w, u, v), (x_u, x_w, 1, x_v)))
     if x_v + x_w == 0:
         raise InternalError("trivial exponents for v and w")
-    return report
+    return _verify("p2p3", x, x, forms, ((u, v, u, w), (x_u, x_v, 1, x_w)),
+                   ((u, w, u, v), (x_u, x_w, 1, x_v)))
 
 
 def _p2p3_exponents(a_v: int, a_w: int, b_v: int, b_w: int) -> tuple[int, int]:
@@ -320,10 +319,9 @@ def nonconjugated_witness(
     n = _long_enough_shift(a, b, x0, y0, len(p), len(q))
     xs = tuple(e + n for e in x0)
     ys = tuple(e + n for e in y0)
-    report = _verify("nonconjugated", xs, ys, forms, ((u, v, w), xs), ((u, v, w), ys))
     if xs == ys:
         raise InternalError("exponent vectors collapsed")
-    return report
+    return _verify("nonconjugated", xs, ys, forms, ((u, v, w), xs), ((u, v, w), ys))
 
 
 def _long_enough_shift(
@@ -462,11 +460,9 @@ def conjugated_witness(
 
     if _mixed_exponent(rprof, x) != _mixed_exponent(rprof, y):
         raise InternalError("center exponents of the two sides disagree")
-
-    report = _verify(f"conjugated:{name}", x, y, forms, (rwords, x), (rwords, y))
     if x == y:
         raise InternalError("exponent vectors collapsed")
-    return report
+    return _verify(f"conjugated:{name}", x, y, forms, (rwords, x), (rwords, y))
 
 
 def p4_witness(t: QueueWord, u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:
@@ -492,9 +488,8 @@ def p4_witness(t: QueueWord, u: QueueWord, v: QueueWord, w: QueueWord) -> Witnes
     reads = len(neg_v) * b_w + len(neg_w) * (1 + b_v) + len(nt.neg()) * a_u
     x_u1 = -(-reads // len(u))
     x = (a_u, x_u1, a_t, b_w, b_v)
-    report = _verify("p4", x, None, forms,
-                     ((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t)),
-                     ((u, w, u, w, t, v), (x_u1, 1, a_t, b_v, a_u, b_w)))
     if a_u == 0 or b_v == 0:
         raise InternalError("trivial exponents for t and w")
-    return report
+    return _verify("p4", x, None, forms,
+                   ((u, v, w, t, w, u), (x_u1, b_w, 1, a_u, b_v, a_t)),
+                   ((u, w, u, w, t, v), (x_u1, 1, a_t, b_v, a_u, b_w)))

@@ -32,7 +32,8 @@ form, are mu (the center alone) and the block-shift identities.
 
 Between the exponent oracles and the brute-force ones sits reference code
 that nothing in the library calls, kept here as it was written there: the
-write and read action sequences of a plain word, the index-scanning
+write and read action sequences of a plain word, the written and the read
+letters of a queue word (project_pos, project_neg), the index-scanning
 tokenizer and the queue-word printer that `parse_queue_word` and
 `format_word` replaced, the parser of printed normal forms, the sandwich
 form and the closed-form overlap for conjugate roots p = gh, q = hg (the
@@ -591,6 +592,16 @@ def read_actions(w):
     # generator grows and then shrinks it, which in hot loops strands
     # memory in the interpreter's per-size tuple free lists.
     return tuple(["~" + x for x in w])
+
+
+def project_pos(w):
+    """The written letters of w, in order: pos of its normal form."""
+    return tuple([a for a in w if a[0] != "~"])
+
+
+def project_neg(w):
+    """The read letters of w, in order: neg of its normal form."""
+    return tuple([a[1:] for a in w if a[0] == "~"])
 
 
 def tokenize(text, letters):

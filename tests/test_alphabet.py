@@ -68,6 +68,7 @@ def test_equality_ignores_edge_order_and_orientation():
     g = IndependenceAlphabet(("a", "b", "c"), [("b", "a"), ("c", "b")])
     assert g == P3
     assert hash(g) == hash(P3)
+    assert (g == 1) is False and g != ("a", "b", "c")
 
 
 def test_construction_errors():

@@ -31,12 +31,11 @@ from quemon import (
     multiply,
     normal_form,
     parse_queue_word,
-    project_neg,
     trace_equivalent,
 )
 from quemon.cli import _WITNESS_KINDS, _build_parser, _distinguishing_queue, main
 
-from oracles import list_distinguishing_queue, parse_normal_form
+from oracles import list_distinguishing_queue, parse_normal_form, project_neg
 
 
 def run(capsys, *argv):
@@ -144,14 +143,15 @@ def test_distinguishing_queue_matches_list_search_up_to_4_actions():
     words = [w for k in range(5) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
     for u, v in itertools.combinations_with_replacement(words, 2):  # the search is symmetric
         for max_len in range(4):
-            assert _distinguishing_queue(u, v, max_len) == list_distinguishing_queue(u, v, max_len), (u, v, max_len)
+            assert (_distinguishing_queue((normal_form(u), normal_form(v)), max_len)
+                    == list_distinguishing_queue(u, v, max_len)), (u, v, max_len)
 
 
 def test_distinguishing_queue_stops_at_m_plus_1_with_the_same_answer():
     # M is the larger number of reads; the list search goes on to M + 3
     def check(u, v, alphabet):
         max_len = max(len(project_neg(u)), len(project_neg(v))) + 3
-        assert (_distinguishing_queue(u, v, max_len, alphabet)
+        assert (_distinguishing_queue((normal_form(u), normal_form(v)), max_len, alphabet)
                 == list_distinguishing_queue(u, v, max_len, alphabet)), (u, v)
 
     words = [w for k in range(4) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
@@ -181,7 +181,7 @@ def test_distinguishing_queue_memory_stays_bounded():
     v = parse_queue_word("~a~b~c~d~e~a")
     tracemalloc.start()
     try:
-        assert _distinguishing_queue(u, v, 5) is None
+        assert _distinguishing_queue((normal_form(u), normal_form(v)), 5) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,6 +327,15 @@ def test_eq_stays_linear_on_a_shared_read_prefix_of_64000_reads(capsys):
     # the shared reads, each in linear time: 26.9 s at 8,000 reads
     argv = ("eq", "--max-len", "1000000000", "~a" * 64_000 + "b", "~a" * 64_000 + "c")
     line = "DISTINGUISHED queue='" + "a" * 64_000 + "' lhs=b rhs=c\n"
+    assert _timed_run(capsys, *argv) == (0, line, "")
+
+
+def test_eq_on_long_periodic_centers_stays_under_its_cap(capsys):
+    # no read block: the search tries a prefix at each of 3,001 lengths.
+    # Running both words through action on each took over 10 s; their
+    # normal-form images, at C speed, take about a second
+    argv = ("eq", "--max-len", "1000000000", "a~a" * 3_000 + "b", "a~a" * 6_000 + "b")
+    line = f"DISTINGUISHED queue='{'a' * 3_000}b' lhs=b{'a' * 3_000}b rhs=BOTTOM\n"
     assert _timed_run(capsys, *argv) == (0, line, "")
 
 
@@ -561,9 +570,11 @@ def test_witness_precondition_failure(capsys):
     (("p2p3", "~a", "b", "~c"), "u must not read"),
     (("nonconjugated", "ab~a", "ab~a", "ab~a", "aa", "b"), "p is not primitive"),
     (("nonconjugated", "ab~a", "ab~a", "ab~a", "ab", "ba"), "must not be conjugate"),
+    (("nonconjugated", "a~b", "a~b", "a~b", "", "b"), "p and q must be nonempty"),
     (("conjugated", "b~a", "a~a", "a~a", "", "a"), "not a positive power"),
     (("p4", "a", "a~b", "~c", "~c"), "u must not read"),
-], ids=["p2p3", "nonconjugated-not-primitive", "nonconjugated-conjugate", "conjugated", "p4"])
+], ids=["p2p3", "nonconjugated-not-primitive", "nonconjugated-conjugate",
+        "nonconjugated-empty-root", "conjugated", "p4"])
 def test_each_witness_kind_rejects_its_outside_input_with_exit_3(capsys, argv, reason):
     code, out, err = run(capsys, "witness", *argv)
     assert (code, out) == (3, "")
@@ -591,7 +602,12 @@ def test_missing_file_exits_2(capsys, tmp_path):
     b'{"letters": [' + b"1" * 5_000 + b"]}",  # integer past the digit limit
     b'{"letters": ["a"], "independent": [5]}',  # a pair that is not a list
     b'{"letters": ["a"], "independent": [["a", ["b"]]]}',  # an unhashable letter
-], ids=["not-utf8", "deep-nesting", "long-integer", "scalar-pair", "list-letter"])
+    b'{"letters": [""]}',
+    b'{"letters": [1]}',
+    b'{"letters": ["a"], "independent": [["a"]]}',
+    b'{"letters": ["a", "b"], "independent": [["a", "b", "a"]]}',
+], ids=["not-utf8", "deep-nesting", "long-integer", "scalar-pair", "list-letter",
+        "empty-letter", "integer-letter", "one-letter-pair", "three-letter-pair"])
 def test_hostile_alphabet_files_exit_2(capsys, tmp_path, content):
     path = tmp_path / "alphabet.json"
     path.write_bytes(content)
@@ -646,18 +662,21 @@ def test_witness_near_its_cap_stays_under_its_time_and_memory_bounds():
     # each side holds 9,985,891 actions, just under the cap.  Checking the
     # flat sides by two normal-form scans peaked at 372 MB and took 7.4 s;
     # the check on the factors' normal forms peaks at 244 MB in about 2 s.
-    # The child reads its own peak, RUSAGE_SELF, after main returns: a peak
-    # over RUSAGE_CHILDREN would be the largest of every child this test
-    # process ever waited for.  tracemalloc misses the transient copy of a
-    # moving realloc and memory the allocator keeps; ru_maxrss does not
+    # The child reads the peak of its own memory, VmHWM, after main returns:
+    # RUSAGE_CHILDREN here would be the largest of every child this test
+    # process ever waited for, and the child's RUSAGE_SELF starts from this
+    # process's peak, which Linux carries over the exec.  tracemalloc misses
+    # the transient copy of a moving realloc and memory the allocator keeps;
+    # the resident peak does not
     n = 1290
     argv = ["witness", "conjugated", "aa~a", "a" + "~a" * n, "a" * n + "~a", "", "a"]
     child = (
-        "import resource, sys\n"
+        "import pathlib, sys\n"
         "from quemon.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "sys.stdout.flush()\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "status = pathlib.Path('/proc/self/status').read_text()\n"
+        "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     src = os.path.dirname(os.path.dirname(quemon.__file__))
@@ -668,7 +687,7 @@ def test_witness_near_its_cap_stays_under_its_time_and_memory_bounds():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert elapsed < CAP_S, f"took {elapsed:.1f}s"
     assert hashlib.sha256(proc.stdout).hexdigest() == NEAR_CAP_SHA256
-    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss counts KB on Linux
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM counts kB
     assert peak_mb < NEAR_CAP_MAX_RSS_MB, f"peaked at {peak_mb:.0f} MB"
 
 

@@ -29,20 +29,26 @@ in it and checks against the oracles given that order.  The last tests
 keep every kernel linear: at 64,000 actions or letters, or 16,000-letter
 alphabets, a quadratic version takes minutes, and power_mu at n = 10^9
 matches only |neg x| + |pos x| letters; the trace kernels stay under
-64 MB on a 16,000-letter matching; the bounded verification on K(3,3) at
+64 MB on a 16,000-letter matching, and read as the resident peak of a
+child process, they stay under 64 MB there and the queue kernels under
+40 MB on their deep-fallback words; the bounded verification on K(3,3) at
 length 7 pays per class, not per word, and stays under 32 MB; and an
 embedding over a 4,000-letter alphabet is built once, in time linear in
 the alphabet and its letter images.
 """
 
 import itertools
+import os
 import random
 import string
+import subprocess
+import sys
 import time
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
+import quemon
 from quemon import (
     BOTTOM,
     NF_IDENTITY,
@@ -732,6 +738,12 @@ def test_edge_cases():
 CAP_S = 5.0  # each call below takes tens of milliseconds; quadratic code, minutes
 TRACE_PEAK_BYTES = 64 * 2**20
 VERIFY_PEAK_BYTES = 32 * 2**20
+# whole-process peaks, interpreter and inputs included, measured at 36 MB
+# and 25 MB on a 2-core Linux host, 13 MB of it a bare interpreter.  A table
+# per dependent letter of the matching, or one quadratic in the 64,000
+# actions, takes gigabytes
+TRACE_MAX_RSS_MB = 64
+QUEUE_MAX_RSS_MB = 40
 
 
 def _timed(f, *args):
@@ -835,6 +847,50 @@ def test_trace_kernels_stay_linear_on_a_16000_letter_matching():
     assert nf == lex_normal_form(v) and trace_equivalent(u, nf) and lex_normal_form(nf) == nf
     # a letter and its partner commute, so the least member lists pairs in order
     assert all(g.rank(x) <= g.rank(y) or not g.independent(x, y) for x, y in zip(nf.word, nf.word[1:]))
+
+
+def _child_max_rss_mb(code):
+    """Run code in a fresh interpreter and return its whole-process peak
+    resident size in MB, VmHWM, which the child reads of itself at the end.
+    tracemalloc misses the transient copy of a moving realloc and memory
+    the allocator keeps; the resident peak does not.  The child's
+    RUSAGE_SELF ru_maxrss would not do: Linux carries the peak of the
+    process that started it over the exec, so under pytest a 25 MB child
+    read 46.6 MB."""
+    code += "\nimport pathlib\nprint(pathlib.Path('/proc/self/status').read_text().split('VmHWM:')[1].split()[0])\n"
+    src = os.path.dirname(os.path.dirname(quemon.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return int(proc.stdout.split()[-1]) / 1024  # VmHWM counts kB
+
+
+def test_trace_kernels_peak_rss_on_a_16000_letter_matching():
+    peak = _child_max_rss_mb(
+        "import random\n"
+        "from quemon import IndependenceAlphabet, TraceWord, lex_normal_form, trace_equivalent\n"
+        "letters = [f'l{i}' for i in range(16_000)]\n"
+        "g = IndependenceAlphabet(letters, [(letters[i], letters[i + 1]) for i in range(0, 16_000, 2)])\n"
+        "rng = random.Random(5)\n"
+        "u = TraceWord(g, tuple(rng.choice(letters) for _ in range(64_000)))\n"
+        "assert trace_equivalent(u, lex_normal_form(u))\n"
+    )
+    assert peak < TRACE_MAX_RSS_MB, f"peaked at {peak:.1f} MB"
+
+
+def test_queue_kernels_peak_rss_on_the_deep_fallback_words():
+    # the words of test_kernels_stay_linear_at_64000_actions; the swap is
+    # the rule a b ~c -> a ~c b, so equivalent pays both normal forms
+    peak = _child_max_rss_mb(
+        "from quemon import equivalent, normal_form, overlap\n"
+        "u = ('a',) * 64_000\n"
+        "v = ('a',) * 32_000 + ('b',) + ('a',) * 32_000\n"
+        "assert overlap(u, v) == ('a',) * 32_000\n"
+        "deep = v + tuple('~' + x for x in u)\n"
+        "assert normal_form(deep).center == ('a',) * 32_000\n"
+        "assert equivalent(deep, deep[:64_000] + ('~a', 'a') + deep[64_002:])\n"
+    )
+    assert peak < QUEUE_MAX_RSS_MB, f"peaked at {peak:.1f} MB"
 
 
 def test_decide_embeddable_stays_linear_at_16000_letters():

@@ -28,8 +28,6 @@ from quemon import (
     parse_queue_word,
     parse_word,
     power_mu,
-    project_neg,
-    project_pos,
 )
 
 from oracles import (
@@ -40,6 +38,8 @@ from oracles import (
     mu,
     nf_to_queue_word,
     parse_normal_form,
+    project_neg,
+    project_pos,
     rewrite_nf_oracle,
     tokenize,
 )
@@ -345,6 +345,7 @@ def test_format_and_round_trip():
     assert format_word(("a", "b")) == "ab"
     assert format_word(("aa", "b")) == "aa b"
     assert format_state(BOTTOM) == "BOTTOM"
+    assert repr(BOTTOM) == "BOTTOM"
     assert format_state(("a", "b")) == "ab"
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from quemon import (
     ConjugacyDecomposition,
+    InternalError,
     PreconditionError,
     QueueNormalForm,
     VerificationFailedError,
@@ -28,8 +29,6 @@ from quemon import (
     parse_queue_word,
     parse_word,
     power_exponent,
-    project_neg,
-    project_pos,
 )
 from quemon import witness
 from quemon.witness import (
@@ -58,6 +57,8 @@ from oracles import (
     fraction_kernel_vector,
     kernel_p2p3_exponents,
     nf_to_queue_word,
+    project_neg,
+    project_pos,
     raise_until_dominant,
 )
 
@@ -650,6 +651,30 @@ def test_one_changed_exponent_fails_verification(kind, builder, args):
         moved = exponents[1][:i] + (exponents[1][i] + 1,) + exponents[1][i + 1:]
         with pytest.raises(VerificationFailedError, match=f"^{r.kind} equation failed"):
             _verify(r.kind, r.x, r.y, forms, lhs, (factors[1], moved))
+
+
+@pytest.mark.parametrize("helper, trivial, builder, args, message", [
+    ("_p2p3_exponents", lambda *a: (0, 0), p2p3_witness, P2P3_BATTERY[0],
+     "trivial exponents"),
+    ("_solve_projection_system", lambda a, b, min_entry: ((2, 2, 2), (2, 2, 2)),
+     nonconjugated_witness, NONCONJUGATED_BATTERY[0], "collapsed"),
+    ("_solve_projection_system", lambda a, b, min_entry: ((2, 2, 2), (2, 2, 2)),
+     conjugated_witness, CONJUGATED_BATTERY[0][:4], "collapsed"),
+    ("_common_root_exponents", lambda first, second: (0, 0), p4_witness, P4_BATTERY[0],
+     "trivial exponents"),
+], ids=["p2p3", "nonconjugated", "conjugated", "p4"])
+def test_a_trivial_equation_is_refused_before_it_is_checked(
+    monkeypatch, helper, trivial, builder, args, message
+):
+    # each side can hold up to 10^7 actions, so the nontriviality check runs
+    # before _verify builds or checks anything
+    def check(*_):
+        raise AssertionError("a trivial equation reached its check")
+
+    monkeypatch.setattr(witness, helper, trivial)
+    monkeypatch.setattr(witness, "_sides_agree", check)
+    with pytest.raises(InternalError, match=message):
+        builder(*args)
 
 
 def test_sides_with_equal_projections_and_different_centers_fail_verification():
