@@ -153,10 +153,10 @@ def _cmd_mul(ns: argparse.Namespace) -> tuple[object, str]:
     return _nf_payload(nf), format_normal_form(nf)
 
 
-def _image(nf, q):
-    """What a word with normal form nf = <r|c|w> makes of the queue q:
-    (q.c)[|rc|:].w when q.c starts with rc, and BOTTOM otherwise."""
-    neg, qc = nf.neg(), q + nf.center
+def _image(nf, neg, q):
+    """What a word with normal form nf = <r|c|w> and neg = rc makes of the
+    queue q: (q.c)[|rc|:].w when q.c starts with rc, and BOTTOM otherwise."""
+    qc = q + nf.center
     return qc[len(neg):] + nf.writes if qc[: len(neg)] == neg else BOTTOM
 
 
@@ -175,7 +175,9 @@ def _distinguishing_queue(nfs, max_len: int, alphabet: Sequence[str] = DEFAULT_A
     Inside the cone of s the word reading s is defined on every queue, and
     the other word only on the queues that agree with its own reads, so the
     search tries O(M + |letters|) queues, each by _image at C speed, and
-    holds one of them at a time whatever max_len is.
+    holds one of them at a time whatever max_len is.  Where the two read
+    words share a prefix, the merge yields it twice, and the second copy
+    is skipped.
 
     The search starts at the shorter of the read blocks r of the two normal
     forms <r|c|w>: a queue shorter than r is emptied by those reads before
@@ -208,8 +210,8 @@ def _distinguishing_queue(nfs, max_len: int, alphabet: Sequence[str] = DEFAULT_A
             else map(s.__add__, itertools.product(letters, repeat=n - len(s)))
             for s in reads
         ]
-        for q in heapq.merge(*candidates):
-            if _image(nfs[0], q) != _image(nfs[1], q):
+        for q, _ in itertools.groupby(heapq.merge(*candidates)):
+            if _image(nfs[0], reads[0], q) != _image(nfs[1], reads[1], q):
                 return q
     return None
 
@@ -228,7 +230,7 @@ def _cmd_eq(ns: argparse.Namespace) -> tuple[object, str]:
         text = f"DISTINGUISHED: no separating queue up to length {ns.max_len}"
         return {"equivalent": False, "queue": None}, text
     shown = format_word(queue)
-    lhs, rhs = (format_state(_image(nf, queue)) for nf in nfs)
+    lhs, rhs = (format_state(_image(nf, nf.neg(), queue)) for nf in nfs)
     payload = {"equivalent": False, "queue": shown, "lhs": lhs, "rhs": rhs}
     return payload, f"DISTINGUISHED queue='{shown}' lhs={lhs} rhs={rhs}"
 

@@ -15,17 +15,19 @@ only if one overlap of neg against pos, from the earlier start, ends
 before the later start (Huschenbett, Kuske and Zetzsche, "The monoid of
 queue actions", 2017, for the normal forms).  Exponents can grow with the
 square of the input, so a side of more than 10**7 actions raises
-CapExceededError before anything is built; the flat sides are built only
-for the report, after the check.
+CapExceededError before anything is built.  The report keeps each side as
+its factors and exponents, a sequence that builds the flat word only when
+it is hashed, printed or sliced, or compared with a tuple or with a side
+of other factors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterator, Mapping, Sequence
+from operator import index, mul
 
 from .errors import (
     CapExceededError,
@@ -55,23 +57,26 @@ class WitnessReport:
     kind is one of 'p2p3', 'nonconjugated', 'conjugated:trivial',
     'conjugated:vwu', 'conjugated:wuv', or 'p4'.  For 'p4' the x vector has
     five entries (x_t, x_u1, x_u2, x_v, x_w) and y is None; otherwise x and
-    y list the exponents of the three factors on each side.
+    y list the exponents of the three factors on each side.  lhs and rhs
+    are sequences of actions held as their factors and exponents; they
+    compare, hash and print as the flat tuple, which is built on demand.
     """
 
     kind: str
     x: tuple[int, ...]
     y: tuple[int, ...] | None
-    lhs: QueueWord
-    rhs: QueueWord
+    lhs: Sequence[str]
+    rhs: Sequence[str]
     verified: bool
 
     def to_json(self) -> dict:
+        # format_word reads a side twice, which a flat tuple does fastest
         return {
             "kind": self.kind,
             "x": list(self.x),
             "y": None if self.y is None else list(self.y),
-            "lhs": format_word(self.lhs),
-            "rhs": format_word(self.rhs),
+            "lhs": format_word(tuple(self.lhs)),
+            "rhs": format_word(tuple(self.rhs)),
             "verified": self.verified,
         }
 
@@ -129,18 +134,23 @@ def _normal_forms(*words: QueueWord) -> dict[QueueWord, QueueNormalForm]:
     return {x: normal_form(x) for x in set(words)}
 
 
-class _PowerProduct:
+class _PowerProduct(Sequence):
     """The actions of factors[0]^exponents[0] factors[1]^exponents[1] ...,
-    and their number.
+    an immutable sequence held as its factors and exponents.
 
     The constructor raises CapExceededError, before anything is built, when
-    there are more than _MAX_SIDE_ACTIONS.  tuple() reads the length from
-    len() and allocates the word once, at its final size, while the actions
-    stream in: no power of a factor and no prefix of the word is built.
-    Concatenating the powers holds a prefix next to its copy, up to twice
-    the word, and a tuple grown from an iterator of unknown length is
-    reallocated step by step, which leaves the allocator holding more
-    memory after many small witnesses.
+    there are more than _MAX_SIDE_ACTIONS.  len() is stored, iteration and
+    reversed() chain the powers, and an index walks the factors.  Two
+    products with equal factors and exponents are equal without being
+    expanded; any other == compares the flat word with a tuple or another
+    product, and hash, repr, slices and + are those of the flat tuple,
+    built on demand.  tuple() reads the length from len() and allocates
+    the word once, at its final size, while the actions stream in: no
+    power of a factor and no prefix of the word is built.  Concatenating
+    the powers holds a prefix next to its copy, up to twice the word, and
+    a tuple grown from an iterator of unknown length is reallocated step
+    by step, which leaves the allocator holding more memory after many
+    small witnesses.
     """
 
     __slots__ = ("factors", "exponents", "size")
@@ -151,7 +161,7 @@ class _PowerProduct:
             raise CapExceededError(
                 f"a side of the equation would have {size} actions, over the cap of {_MAX_SIDE_ACTIONS}"
             )
-        self.factors, self.exponents, self.size = factors, exponents, size
+        self.factors, self.exponents, self.size = tuple(factors), tuple(exponents), size
 
     def __len__(self) -> int:
         return self.size
@@ -159,6 +169,49 @@ class _PowerProduct:
     def __iter__(self) -> Iterator[str]:
         chain = itertools.chain.from_iterable
         return chain(chain(map(itertools.repeat, self.factors, self.exponents)))
+
+    def __reversed__(self) -> Iterator[str]:
+        chain = itertools.chain.from_iterable
+        backwards = [f[::-1] for f in reversed(self.factors)]
+        return chain(chain(map(itertools.repeat, backwards, reversed(self.exponents))))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = index(i)
+        if i < 0:
+            i += self.size
+        if not 0 <= i < self.size:
+            raise IndexError("power product index out of range")
+        for f, e in zip(self.factors, self.exponents):
+            block = len(f) * e
+            if i < block:
+                return f[i % len(f)]
+            i -= block
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _PowerProduct:
+            if self.factors == other.factors and self.exponents == other.exponents:
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self.size == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, _PowerProduct)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
 
 
 def _side_projections(
@@ -218,17 +271,16 @@ def _verify(
 ) -> WitnessReport:
     """The report on lhs = rhs, each side given as (factors, exponents),
     where forms maps every factor to its normal form.  Both sides are
-    checked against the cap, compared by _sides_agree, and only then built
-    for the report; raises VerificationFailedError unless they agree."""
+    checked against the cap and compared by _sides_agree, and the report
+    keeps them as power products; raises VerificationFailedError unless
+    they agree."""
     lhs_word, rhs_word = _PowerProduct(*lhs), _PowerProduct(*rhs)
-    agree = _sides_agree(forms, lhs, rhs)
-    lhs, rhs = tuple(lhs_word), tuple(rhs_word)
-    if not agree:
+    if not _sides_agree(forms, lhs, rhs):
         raise VerificationFailedError(
             f"{kind} equation failed its normal-form check: "
-            f"{format_word(lhs)} vs {format_word(rhs)}"
+            f"{format_word(lhs_word)} vs {format_word(rhs_word)}"
         )
-    return WitnessReport(kind, tuple(x), None if y is None else tuple(y), lhs, rhs, True)
+    return WitnessReport(kind, tuple(x), None if y is None else tuple(y), lhs_word, rhs_word, True)
 
 
 def p2p3_witness(u: QueueWord, v: QueueWord, w: QueueWord) -> WitnessReport:

@@ -6,7 +6,8 @@ quemon replaced: the prefix function and the overlap by scanning every
 length, the normal form as a fold of the
 product over single actions, the power as an n-fold product, its center
 by one overlap of the full n-fold sides (through the library's overlap),
-the action by slicing the queue, the conjugacy split by trying every
+the action by slicing the queue, the primitive root by trying every
+divisor of the length, the conjugacy split by trying every
 rotation, the trace normal form by greedy rescans, trace equivalence by
 projections onto
 every dependent pair, the dependence stacks by one projection per letter
@@ -145,6 +146,16 @@ def slicing_action(state, w):
         else:
             state = state + (a,)
     return state
+
+
+def divisor_primitive_root(w):
+    """(root, e) with root primitive and root^e == w, trying every divisor d
+    of |w| in increasing order by building w[:d]^(|w|/d)."""
+    n = len(w)
+    for d in range(1, n):
+        if n % d == 0 and w[:d] * (n // d) == w:
+            return w[:d], n // d
+    return w, 1
 
 
 def scan_conjugacy_split(p, q):

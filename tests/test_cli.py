@@ -33,6 +33,7 @@ from quemon import (
     parse_queue_word,
     trace_equivalent,
 )
+from quemon import cli
 from quemon.cli import _WITNESS_KINDS, _build_parser, _distinguishing_queue, main
 
 from oracles import list_distinguishing_queue, parse_normal_form, project_neg
@@ -162,6 +163,25 @@ def test_distinguishing_queue_stops_at_m_plus_1_with_the_same_answer():
     words = [w for k in range(6) for w in itertools.product(("a", "~a"), repeat=k)]
     for u, v in itertools.combinations_with_replacement(words, 2):
         check(u, v, ("a",))
+
+
+def test_distinguishing_queue_compares_each_candidate_once(monkeypatch):
+    # the read words (a)^3000 and (a)^6000 share their first 3,000 letters,
+    # which the merge yields once per word: lengths 0 to 3,000 each give one
+    # distinct prefix, and 3,001 gives a, b and the unused c after a^3000
+    calls = []
+    image = cli._image
+
+    def counted(nf, neg, q):
+        calls.append(q)
+        return image(nf, neg, q)
+
+    monkeypatch.setattr(cli, "_image", counted)
+    u, v = parse_queue_word("a~a" * 3000 + "b"), parse_queue_word("a~a" * 6000 + "b")
+    q = _distinguishing_queue((normal_form(u), normal_form(v)), 10**9)
+    assert q == ("a",) * 3000 + ("b",)
+    assert len(calls) == 2 * 3_003
+    assert len(set(calls)) == 3_003
 
 
 def test_eq_over_one_letter_ends_at_a_huge_bound(capsys, tmp_path):

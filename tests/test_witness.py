@@ -684,3 +684,87 @@ def test_sides_with_equal_projections_and_different_centers_fail_verification():
     with pytest.raises(VerificationFailedError,
                        match=r"^k equation failed its normal-form check: a~aa~aa~a vs ~aa~aa~aa$"):
         _verify("k", (3,), (3,), forms, lhs, rhs)
+
+
+# -- a report's sides: sequences held as factors and exponents ---------------------
+
+def _battery_reports():
+    return ([p2p3_witness(*args) for args in P2P3_BATTERY]
+            + [nonconjugated_witness(*args) for args in NONCONJUGATED_BATTERY]
+            + [conjugated_witness(*args[:4]) for args in CONJUGATED_BATTERY]
+            + [p4_witness(*args) for args in P4_BATTERY])
+
+
+_SLICES = [slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+           slice(2, 7, 2), slice(-5, None), slice(None, None, 3), slice(3, 1)]
+
+
+def _assert_acts_as_its_flat_tuple(side):
+    flat = sum(map(mul, side.factors, side.exponents), ())
+    n = len(flat)
+    assert len(side) == n
+    assert tuple(side) == flat and list(iter(side)) == list(flat)
+    assert [side[i] for i in range(-n, n)] == list(flat + flat)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            side[i]
+    with pytest.raises(TypeError):
+        side["0"]
+    for s in _SLICES:
+        assert side[s] == flat[s] and type(side[s]) is tuple, s
+    assert tuple(reversed(side)) == flat[::-1]
+    assert side == flat and flat == side and not side != flat
+    assert side != flat + ("a",) and flat + ("a",) != side
+    assert side != list(flat) and list(flat) != side
+    if flat:
+        assert side != ("z",) + flat[1:] and side != flat[:-1] + ("z",)
+    assert hash(side) == hash(flat)
+    assert repr(side) == repr(flat)
+    for got, want in ((side + ("a",), flat + ("a",)), (("a",) + side, ("a",) + flat),
+                      (side + side, flat + flat)):
+        assert got == want and type(got) is tuple
+    with pytest.raises(TypeError):
+        side + ["a"]
+
+
+def test_every_battery_side_acts_as_its_flat_tuple():
+    for r in _battery_reports():
+        for side in (r.lhs, r.rhs):
+            assert type(side) is _PowerProduct
+            _assert_acts_as_its_flat_tuple(side)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_power_product())
+def test_a_product_of_up_to_six_powers_acts_as_its_flat_tuple(side):
+    _assert_acts_as_its_flat_tuple(_PowerProduct(*side))
+
+
+def test_products_with_other_factors_and_the_same_word_are_equal():
+    a, ab = P("a"), P("ab")
+    assert _PowerProduct((a, a), (2, 3)) == _PowerProduct((a,), (5,))
+    assert _PowerProduct((ab, a), (2, 0)) == _PowerProduct((P("aba"), P("b")), (1, 1))
+    assert _PowerProduct((a,), (5,)) != _PowerProduct((a,), (4,))
+    assert _PowerProduct((ab,), (1,)) != _PowerProduct((P("ba"),), (1,))
+    assert hash(_PowerProduct((a, a), (2, 3))) == hash(_PowerProduct((a,), (5,)))
+
+
+def test_two_builds_of_a_witness_are_equal_without_building_their_sides(monkeypatch):
+    # the benchmark compares each round's report with the first one; equal
+    # factors and exponents decide that without expanding the powers
+    reports, again = _battery_reports(), _battery_reports()
+    assert [hash(r) for r in reports] == [hash(r) for r in again]
+    assert [repr(r) for r in reports] == [repr(r) for r in again]
+
+    def expanded(self):
+        raise AssertionError("a side was expanded")
+
+    monkeypatch.setattr(_PowerProduct, "__iter__", expanded)
+    monkeypatch.setattr(_PowerProduct, "__reversed__", expanded)
+    assert all(r is not s and r == s for r, s in zip(reports, again))
+
+
+def test_every_battery_report_has_equivalent_sides():
+    for r in _battery_reports():
+        assert equivalent(r.lhs, r.rhs), r.kind
+        assert equivalent(tuple(r.lhs), tuple(r.rhs)), r.kind

@@ -7,8 +7,9 @@ only use scanning and slicing, never the formulas under test.
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from quemon import words
 from quemon import (
     ConjugacyDecomposition,
     EmptyWordError,
@@ -21,7 +22,7 @@ from quemon import (
     primitive_root,
 )
 
-from oracles import overlap_gq, sandwich_form
+from oracles import divisor_primitive_root, overlap_gq, sandwich_form
 
 AB = ("a", "b")
 
@@ -92,6 +93,65 @@ def test_primitive_root_exhaustive():
         # shortest-period oracle: no strictly shorter word generates w
         for d in range(1, len(root)):
             assert w[:d] * (len(w) // d) != w or len(w) % d != 0
+
+
+@pytest.mark.parametrize("short_root", [1, 2, 3, 8])
+def test_primitive_root_matches_the_divisor_loop_on_every_word_up_to_12(monkeypatch, short_root):
+    # roots of at most short_root letters are tried in order; every other
+    # word over {a, b}, longer than short_root, reaches the prime steps
+    monkeypatch.setattr(words, "_SHORT_ROOT", short_root)
+    for w in words_up_to(12):
+        if w:
+            assert primitive_root(w) == divisor_primitive_root(w), w
+
+
+# lengths with many prime factors, and with high powers of a few
+_COMPOSITE_EXPONENTS = [1, 2, 6, 12, 30, 60, 64, 81, 210, 360, 720, 840, 1024, 2310, 2520]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=12).map(tuple),
+    st.sampled_from(_COMPOSITE_EXPONENTS),
+    st.sampled_from(("power", "last changed", "middle changed", "first changed")),
+    st.sampled_from((1, 2, 8)),
+)
+def test_primitive_root_matches_the_divisor_loop_on_powers(r, k, how, short_root):
+    w = r * k
+    i = {"power": None, "last changed": -1, "middle changed": len(w) // 2,
+         "first changed": 0}[how]
+    if i is not None:
+        w = w[:i] + ("d",) + w[i:][1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_SHORT_ROOT", short_root)
+        assert primitive_root(w) == divisor_primitive_root(w)
+
+
+def test_primitive_root_makes_few_checks_at_a_highly_composite_length(monkeypatch):
+    # 720,720 has 240 divisors and 6 distinct primes; the divisor loop
+    # checks a^(n-1) b at every divisor, the prime steps at most twice per
+    # prime, and a root of at most 8 letters never reaches them
+    calls = []
+    repeats = words._repeats
+
+    def counted(u, d):
+        calls.append(d)
+        return repeats(u, d)
+
+    monkeypatch.setattr(words, "_repeats", counted)
+    n = 720_720
+    root = tuple("abcdefghij")
+    for w, want in (
+        (("a",) * (n - 1) + ("b",), None),
+        (("a",) * (n // 2) + ("b",) + ("a",) * (n // 2 - 1), None),
+        (root * (n // 10), (root, n // 10)),
+    ):
+        calls.clear()
+        assert primitive_root(w) == (want or (w, 1))
+        assert 0 < len(calls) <= 2 * 6, calls
+    calls.clear()
+    assert primitive_root(("a", "b", "c") * (n // 3)) == (("a", "b", "c"), n // 3)
+    assert calls == []
 
 
 def test_is_primitive_matches_rotation_criterion():
