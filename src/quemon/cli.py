@@ -173,11 +173,13 @@ def _distinguishing_queue(nfs, max_len: int, alphabet: Sequence[str] = DEFAULT_A
     both words end at BOTTOM.  At length n that leaves, for each read word
     s, the prefix s[:n] or the cone s.A^(n-|s|), merged in letter order.
     Inside the cone of s the word reading s is defined on every queue, and
-    the other word only on the queues that agree with its own reads, so the
-    search tries O(M + |letters|) queues, each by _image at C speed, and
-    holds one of them at a time whatever max_len is.  Where the two read
-    words share a prefix, the merge yields it twice, and the second copy
-    is skipped.
+    the other word, at a length up to its number of reads, only on the
+    prefix of its reads; so the first other queue of the cone separates.
+    The search thus tries at most two distinct queues per length up to M
+    (defined below), and at most 2 |letters| at M + 1, the two cones: each
+    by _image at C speed, one held at a time whatever max_len is.  Where
+    the two read words share a prefix, the merge yields it twice, and the
+    second copy is skipped.
 
     The search starts at the shorter of the read blocks r of the two normal
     forms <r|c|w>: a queue shorter than r is emptied by those reads before

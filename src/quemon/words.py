@@ -78,53 +78,34 @@ def overlap(u: Word, v: Word) -> Word:
     return head[:k]
 
 
-_SHORT_ROOT = 8  # roots up to this length are found by trying each length
-
-
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Return (root, e) where root is primitive and root repeated e times is w.
 
     The root is the shortest period that divides w evenly; e is maximal.
     Raises EmptyWordError on the empty word, which is a power of everything.
 
-    The lengths d dividing n = |w| with w = w[:d]^(n/d) are the multiples
-    of |root| that divide n.  A root of at most _SHORT_ROOT letters is the
-    least such d, tried in order, each on its last d letters before the
-    whole word.  Otherwise each prime q of n, smallest first, takes out of
-    the root what it can: with L the root length so far and q^e the power
-    of q in L, L / q^e is tried first, which settles q in one check when
-    |root| is prime to q; else the root shrinks by q while L / q still
-    repeats.  Each check is on the root so far, so the checks for one
-    prime cost O(n), and the whole O(n ω(n)) with ω(n) the number of
-    primes of n, not O(n d(n)) over every divisor.
+    The lengths d dividing n = |w| with w = w[:d]^(n/d) are exactly the
+    multiples of |root| that divide n.  So each prime q of n in turn
+    divides the root so far by q for as long as that still leaves a
+    period, and the last length left is |root|.  At most Ω(n) checks pass,
+    one per prime factor of n counted with multiplicity, and at most ω(n)
+    fail, one per distinct prime.  Each is on the root so far and costs
+    O(n), so the whole takes O(n ω(n)), not O(n d(n)) over every divisor.
     """
     if not w:
         raise EmptyWordError("the empty word has no primitive root")
-    n = len(w)
-    for d in range(1, _SHORT_ROOT + 1):
-        if n % d == 0 and w[n - d:] == w[:d] and w[:d] * (n // d) == w:
-            return w[:d], n // d
     root = w
-    for q in _prime_factors(n):
-        size = len(root)
-        qe = q
-        while size % (qe * q) == 0:
-            qe *= q
-        least = size // qe
-        if _repeats(root, least):
-            root = root[:least]
-        else:
-            while (d := len(root) // q) > least and _repeats(root, d):
-                root = root[:d]
-    return root, n // len(root)
+    for q in _prime_factors(len(w)):
+        while len(root) % q == 0 and _has_period(root, len(root) // q):
+            root = root[: len(root) // q]
+    return root, len(w) // len(root)
 
 
-def _repeats(u: Word, d: int) -> bool:
-    """Whether u is a power of u[:d], d dividing |u|.  The last 16 letters
-    are compared first: there a wrong d mostly fails at once."""
-    n = len(u)
-    m = min(16, n - d)
-    return u[n - m:] == u[n - m - d:n - d] and u[:d] * (n // d) == u
+def _has_period(u: Word, d: int) -> bool:
+    """Whether u is a power of u[:d], d dividing |u|: whether u has period
+    d.  That period puts u[d - 1] at the end of u, so the last letter is
+    compared first."""
+    return u[d - 1] == u[-1] and u[d:] == u[:-d]
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -2,6 +2,7 @@
 fast commands on worst-case inputs, and a fuzz test of the exit contract."""
 
 import argparse
+import collections
 import hashlib
 import io
 import itertools
@@ -36,6 +37,7 @@ from quemon import (
 from quemon import cli
 from quemon.cli import _WITNESS_KINDS, _build_parser, _distinguishing_queue, main
 
+from batteries import CONJUGATED_BATTERY, NONCONJUGATED_BATTERY, P2P3_BATTERY, P4_BATTERY
 from oracles import list_distinguishing_queue, parse_normal_form, project_neg
 
 
@@ -182,6 +184,42 @@ def test_distinguishing_queue_compares_each_candidate_once(monkeypatch):
     assert q == ("a",) * 3000 + ("b",)
     assert len(calls) == 2 * 3_003
     assert len(set(calls)) == 3_003
+
+
+def test_distinguishing_queue_tries_few_queues_per_length(monkeypatch):
+    # at most two distinct queues per length up to M, the larger number of
+    # reads, and 2 |letters| at M + 1; _image runs once per queue and word
+    calls = []
+    image = cli._image
+
+    def counted(nf, neg, q):
+        calls.append(q)
+        return image(nf, neg, q)
+
+    monkeypatch.setattr(cli, "_image", counted)
+
+    def check(u, v, alphabet):
+        nfs = normal_form(u), normal_form(v)
+        if nfs[0] == nfs[1]:
+            return None
+        calls.clear()
+        q = _distinguishing_queue(nfs, 10**9, alphabet)
+        m = max(len(nf.neg()) for nf in nfs)
+        used = {x for nf in nfs for x in nf.neg() + nf.pos()}
+        letters = len(used) + bool(set(alphabet) - used)  # and the unused one
+        per_length = collections.Counter(map(len, set(calls)))
+        assert len(calls) == 2 * sum(per_length.values()), (u, v)
+        for n, count in per_length.items():
+            assert n <= m + 1 and count <= (2 if n <= m else 2 * letters), (u, v, n)
+        return q
+
+    words = [w for k in range(4) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
+    for u, v in itertools.product(words, repeat=2):
+        check(u, v, quemon.DEFAULT_ALPHABET)
+    # over the one letter a some inequivalent pairs are never separated, so
+    # the search runs on to M + 1
+    words = [w for k in range(6) for w in itertools.product(("a", "~a"), repeat=k)]
+    assert None in {check(u, v, ("a",)) for u, v in itertools.product(words, repeat=2)}
 
 
 def test_eq_over_one_letter_ends_at_a_huge_bound(capsys, tmp_path):
@@ -709,6 +747,26 @@ def test_witness_near_its_cap_stays_under_its_time_and_memory_bounds():
     assert hashlib.sha256(proc.stdout).hexdigest() == NEAR_CAP_SHA256
     peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM counts kB
     assert peak_mb < NEAR_CAP_MAX_RSS_MB, f"peaked at {peak_mb:.0f} MB"
+
+
+# the output of `quemon witness` on all 58 battery entries, one line each
+BATTERY_SHA256 = "b72f3bd1904c8b8c96275aed21b548df713108fda02fc6e287f24a035348bbb4"
+
+
+def test_witness_prints_the_same_bytes_on_every_battery_entry(capsys):
+    argvs = [
+        *(["p2p3", *entry] for entry in P2P3_BATTERY),
+        *(["nonconjugated", *entry] for entry in NONCONJUGATED_BATTERY),
+        *(["conjugated", u, v, w, dec.g, dec.h] for u, v, w, dec, _ in CONJUGATED_BATTERY),
+        *(["p4", *entry] for entry in P4_BATTERY),
+    ]
+    assert len(argvs) == 58
+    digest = hashlib.sha256()
+    for kind, *args in argvs:
+        code, out, err = run(capsys, "witness", kind, *map(format_word, args))
+        assert (code, err) == (0, ""), (kind, args)
+        digest.update(out.encode())
+    assert digest.hexdigest() == BATTERY_SHA256
 
 
 class _ClosedPipe(io.StringIO):

@@ -95,11 +95,7 @@ def test_primitive_root_exhaustive():
             assert w[:d] * (len(w) // d) != w or len(w) % d != 0
 
 
-@pytest.mark.parametrize("short_root", [1, 2, 3, 8])
-def test_primitive_root_matches_the_divisor_loop_on_every_word_up_to_12(monkeypatch, short_root):
-    # roots of at most short_root letters are tried in order; every other
-    # word over {a, b}, longer than short_root, reaches the prime steps
-    monkeypatch.setattr(words, "_SHORT_ROOT", short_root)
+def test_primitive_root_matches_the_divisor_loop_on_every_word_up_to_12():
     for w in words_up_to(12):
         if w:
             assert primitive_root(w) == divisor_primitive_root(w), w
@@ -114,44 +110,47 @@ _COMPOSITE_EXPONENTS = [1, 2, 6, 12, 30, 60, 64, 81, 210, 360, 720, 840, 1024, 2
     st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=12).map(tuple),
     st.sampled_from(_COMPOSITE_EXPONENTS),
     st.sampled_from(("power", "last changed", "middle changed", "first changed")),
-    st.sampled_from((1, 2, 8)),
 )
-def test_primitive_root_matches_the_divisor_loop_on_powers(r, k, how, short_root):
+def test_primitive_root_matches_the_divisor_loop_on_powers(r, k, how):
     w = r * k
     i = {"power": None, "last changed": -1, "middle changed": len(w) // 2,
          "first changed": 0}[how]
     if i is not None:
         w = w[:i] + ("d",) + w[i:][1:]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(words, "_SHORT_ROOT", short_root)
-        assert primitive_root(w) == divisor_primitive_root(w)
+    assert primitive_root(w) == divisor_primitive_root(w)
 
 
 def test_primitive_root_makes_few_checks_at_a_highly_composite_length(monkeypatch):
-    # 720,720 has 240 divisors and 6 distinct primes; the divisor loop
-    # checks a^(n-1) b at every divisor, the prime steps at most twice per
-    # prime, and a root of at most 8 letters never reaches them
+    # 720,720 = 2^4 3^2 5 7 11 13 has 240 divisors, which the divisor loop
+    # checks in turn; taking each prime out of the root makes at most
+    # Omega(n) = 10 checks that pass and omega(n) = 6 that fail
     calls = []
-    repeats = words._repeats
+    has_period = words._has_period
 
     def counted(u, d):
         calls.append(d)
-        return repeats(u, d)
+        return has_period(u, d)
 
-    monkeypatch.setattr(words, "_repeats", counted)
+    monkeypatch.setattr(words, "_has_period", counted)
     n = 720_720
     root = tuple("abcdefghij")
+    # b at every position n/q - 1 and at the end: the last letter of each
+    # candidate root matches the last letter of the word
+    marked = ["a"] * n
+    for q in (2, 3, 5, 7, 11, 13):
+        marked[n // q - 1] = "b"
+    marked[-1] = "b"
+    marked = tuple(marked)
     for w, want in (
+        (("a",) * n, (("a",), n)),
         (("a",) * (n - 1) + ("b",), None),
-        (("a",) * (n // 2) + ("b",) + ("a",) * (n // 2 - 1), None),
+        (("b",) + ("a",) * (n - 2) + ("b",), None),
         (root * (n // 10), (root, n // 10)),
+        (marked, None),
     ):
         calls.clear()
         assert primitive_root(w) == (want or (w, 1))
-        assert 0 < len(calls) <= 2 * 6, calls
-    calls.clear()
-    assert primitive_root(("a", "b", "c") * (n // 3)) == (("a", "b", "c"), n // 3)
-    assert calls == []
+        assert 0 < len(calls) <= 10 + 6, calls
 
 
 def test_is_primitive_matches_rotation_criterion():
