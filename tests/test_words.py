@@ -95,10 +95,14 @@ def test_primitive_root_exhaustive():
             assert w[:d] * (len(w) // d) != w or len(w) % d != 0
 
 
-def test_primitive_root_matches_the_divisor_loop_on_every_word_up_to_12():
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_primitive_root_matches_the_divisor_loop_on_every_word_up_to_12(k):
+    # w^k for every word w over {a, b}: each prime of k is one more step of
+    # the loop, and the exponent found is k times that of w
     for w in words_up_to(12):
         if w:
-            assert primitive_root(w) == divisor_primitive_root(w), w
+            root, e = divisor_primitive_root(w)
+            assert primitive_root(w * k) == divisor_primitive_root(w * k) == (root, e * k), w
 
 
 # lengths with many prime factors, and with high powers of a few
