@@ -176,27 +176,29 @@ def _distinguishing_queue(nfs, max_len: int, alphabet: Sequence[str] = DEFAULT_A
     the other word, at a length up to its number of reads, only on the
     prefix of its reads; so the first other queue of the cone separates.
     The search thus tries at most two distinct queues per length up to M
-    (defined below), and at most 2 |letters| at M + 1, the two cones: each
-    by _image at C speed, one held at a time whatever max_len is.  Where
-    the two read words share a prefix, the merge yields it twice, and the
-    second copy is skipped.
+    (defined below): each by _image at C speed, one held at a time
+    whatever max_len is.  Where the two read words share a prefix, the
+    merge yields it twice, and the second copy is skipped.
 
     The search starts at the shorter of the read blocks r of the two normal
     forms <r|c|w>: a queue shorter than r is emptied by those reads before
     the word writes anything, so below both read blocks both words end at
     BOTTOM.
 
-    The search stops at length min(max_len, M + 1), M = max(|neg u|, |neg v|):
-    a separating queue, if there is one, has length <= M + 1.  Proof: with
+    The search stops at length min(max_len, M), M = max(|neg u|, |neg v|):
+    a separating queue, if there is one, has length <= M.  Proof: with
     normal form <r|c|w>, u maps q to (q.c)[|neg u|:].w when q.c starts with
     neg u = rc, and to BOTTOM otherwise.  So a queue of length >= M is in
     the domain of u exactly when it lies in the cone neg u.A*, and u maps
     neg u.z to z.pos u.  Let q, longer than M, separate u and v.  If only u
     is defined on q, the prefix of q of length M separates them.  If both
-    are, say neg v = neg u.y, then u maps neg v.z to y.z.pos u and v maps it
-    to z.pos v.  Unless y.pos u = pos v, the queue neg v separates them.
-    Otherwise neg v.z separates them exactly when z and y do not commute;
-    then some letter x of z does not commute with y, and neg v.x separates.
+    are, say neg v = neg u.y.  With y nonempty and two or more letters,
+    some y' != y has the length of y, and the queue neg u.y', of length M,
+    separates them: u is defined on it and v is not.  Otherwise y and z
+    commute, as y is empty or both are powers of the one letter, so u
+    maps neg v.z to z.y.pos u and v maps it to z.pos v.  These differ
+    exactly when y.pos u and pos v do, that is, when the queue neg v, of
+    length M, separates them.
     """
     import heapq
 
@@ -204,7 +206,7 @@ def _distinguishing_queue(nfs, max_len: int, alphabet: Sequence[str] = DEFAULT_A
     used = set().union(*reads, *(nf.pos() for nf in nfs))
     extra = min((x for x in alphabet if x not in used), default=None)
     letters = sorted(used if extra is None else used | {extra})
-    bound = min(max_len, max(map(len, reads)) + 1)
+    bound = min(max_len, max(map(len, reads)))
     for n in range(min(len(nf.reads) for nf in nfs), bound + 1):
         # a bound method per cone: a generator over s would see only the last s
         candidates = [
@@ -342,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="bound for the distinguishing-queue search (default 8); it stops "
-        "earlier, at M + 1, where M is the larger number of reads in the two words",
+        "earlier, at M, where M is the larger number of reads in the two words",
     )
     add("action", _cmd_action, "apply a queue word to a queue state", "queue", "word",
         letters=True)

@@ -38,8 +38,8 @@ may not exceed the letters written so far.  normal_form is that matcher run
 once over w, so it takes linear time.  A write costs one append to pos.  A
 read that continues the match lengthens it in place, a read that
 mismatches at length 0 leaves it at 0, and only a real fallback calls
-match_step, which builds the prefix function of pos as far as the
-fallback reaches.  multiply and power_mu use the linear overlap of the
+match_step, which builds the prefix function of pos at least as far
+as the fallback reaches.  multiply and power_mu use the linear overlap of the
 words module, which advances its match the same way, and action keeps a
 head index into the queue instead of slicing it.  power_mu, which nf_power
 calls, matches at most |neg x| + |pos x| letters whatever the exponent:
@@ -147,8 +147,9 @@ def normal_form(w: QueueWord) -> QueueNormalForm:
     it to overlap(center . x, pos).  That is one Knuth-Morris-Pratt step of
     neg against pos, taken in place when x continues the match or the
     match is empty; only a fallback calls match_step, which builds the
-    prefix function of pos as far as the fallback first needs it, so a
-    write only appends to pos.  The match never exceeds len(pos).
+    prefix function of pos at least as far as the fallback needs it, and
+    never past the letters written so far, so a write only appends to pos.
+    The match never exceeds len(pos).
     """
     neg: list[Letter] = []
     pos: list[Letter] = []

@@ -7,9 +7,19 @@ so overlaps and rotations go through the prefix function of Knuth, Morris
 and Pratt (1977) and take linear time.  Every scan advances its match
 itself: a letter that continues the match lengthens it by one, a letter
 that mismatches at length 0 leaves it at 0, and only a real fallback calls
-match_step.  That one fallback path also builds the table, on demand: an
-entry is computed, in order and once, only when a fallback first reaches
-it, so a scan that rarely mismatches builds little of it.
+match_step.  That one fallback path also builds the table, on demand:
+entries are computed in order and once, when a fallback first needs one
+not built yet, so a scan that rarely mismatches builds little of it.
+
+The table grows by periodic runs.  When a prefix of the pattern has a
+border longer than half of it, the prefix has the period p it leaves, and
+the entries go on growing by one for as long as the pattern keeps that
+period; slice comparisons find where the period breaks at C speed, and the
+whole run is appended at once.  The periods of successive runs strictly
+increase, and each run starts at a prefix square with a primitive root, so
+by the three-squares lemma (Crochemore and Rytter, 1995) the roots grow at
+least like the Fibonacci numbers: a table of m entries holds at most about
+log_phi m runs, and every other entry takes one step of the loop.
 """
 
 from __future__ import annotations
@@ -31,45 +41,96 @@ def match_step(pattern: Sequence[Letter], border: list[int], k: int, x: Letter) 
     is a prefix, possibly empty, of the prefix function of pattern: border[i]
     is the length of the longest proper prefix of pattern[:i+1] that is also
     its suffix.  A fallback from a match of length k needs border[k - 1];
-    when that entry is not built yet, border is extended in place up to it,
-    each new entry by the prefix-function loop over pattern itself.  A full
-    match (k == len(pattern)) falls back along its borders first, so the
-    result never exceeds len(pattern).  Each call costs O(1) amortised
-    over a left-to-right scan, because every fallback shortens the match,
-    every call lengthens it by at most one, and every entry of border is
-    computed once.
+    when that entry is not built yet, border is extended in place at least
+    up to it and at most to len(pattern), each new entry by the
+    prefix-function loop over pattern itself, or a periodic run of entries
+    at once.  A full match (k == len(pattern)) falls back along its borders
+    first, so the result never exceeds len(pattern).  Each call costs O(1)
+    amortised over a left-to-right scan, because every fallback shortens
+    the match, every call lengthens it by at most one, and every entry of
+    border is computed once.
     """
     n = len(pattern)
     while k and (k == n or pattern[k] != x):
-        while len(border) < k:
-            i = len(border)
-            j = border[-1] if i else 0
-            y = pattern[i]
-            # j < i, so the fallbacks read only entries already built
-            while j and pattern[j] != y:
-                j = border[j - 1]
-            border.append(j + 1 if i and pattern[j] == y else 0)
+        if len(border) < k:
+            _extend_border(pattern, border, k)
         k = border[k - 1]
     if k < n and pattern[k] == x:
         return k + 1
     return k
 
 
+def _extend_border(pattern: Sequence[Letter], border: list[int], k: int) -> None:
+    """Extend the prefix function border of pattern in place to at least k
+    entries, k <= len(pattern), and at most len(pattern)."""
+    i = len(border)
+    j = border[-1] if i else 0
+    while i < k:
+        y = pattern[i]
+        # j < i, so the fallbacks read only entries already built
+        while j and pattern[j] != y:
+            j = border[j - 1]
+        j = j + 1 if i and pattern[j] == y else 0
+        border.append(j)
+        i += 1
+        if 2 * j > i:
+            # pattern[:i] has the period i - j, and the entries grow by one
+            # for as long as pattern keeps that period
+            t = _periodic_run(pattern, i, i - j)
+            border.extend(range(j + 1, j + 1 + t - i))
+            j += t - i
+            i = t
+
+
+def _periodic_run(pattern: Sequence[Letter], start: int, p: int) -> int:
+    """The least t >= start with t == len(pattern) or pattern[t] !=
+    pattern[t - p], where pattern[:start] has the period p < start.
+
+    Slices that double in length find a block holding the break, and
+    slices that halve find the break in it, so the cost is linear in
+    t - start + 1, at C speed.
+    """
+    n = len(pattern)
+    lo = start  # pattern[:lo] has the period p
+    step = 1
+    while True:
+        hi = min(lo + step, n)
+        if pattern[lo:hi] != pattern[lo - p : hi - p]:
+            break
+        if hi == n:
+            return n
+        lo = hi
+        step *= 2
+    # the break lies in pattern[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pattern[lo:mid] == pattern[lo - p : mid - p]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def overlap(u: Word, v: Word) -> Word:
     """Longest word that is simultaneously a suffix of u and a prefix of v.
 
     Only the last m = min(|u|, |v|) letters of u and the first m of v can
-    take part.  One Knuth-Morris-Pratt scan of those letters of u against
-    v[:m] ends in the longest prefix of v[:m] that is a suffix of u.  The
-    scan extends the match in place and calls match_step only to fall
-    back, so the prefix function of v[:m] is built only as far as the
-    fallbacks reach, and the whole costs O(|u| + |v|).
+    take part.  The full alignment is compared first, as one tuple
+    comparison that stops at the first letter that differs.  Otherwise one
+    Knuth-Morris-Pratt scan of those letters of u against v[:m] ends in
+    the longest prefix of v[:m] that is a suffix of u.  The scan extends
+    the match in place and calls match_step only to fall back, so the
+    prefix function of v[:m] is built only on demand, and the whole costs
+    O(|u| + |v|).
     """
     m = min(len(u), len(v))
     head = v[:m]
+    tail = u[len(u) - m :]
+    if tail == head:
+        return head
     border: list[int] = []
     k = 0
-    for x in u[len(u) - m:]:
+    for x in tail:
         # k is at most the letters read before x, fewer than m
         if head[k] == x:
             k += 1

@@ -3,7 +3,8 @@ and the brute-force oracles the tests check the library against.
 
 These are the straightforward quadratic versions that the linear kernels in
 quemon replaced: the prefix function and the overlap by scanning every
-length, the normal form as a fold of the
+length, the prefix function by one step of its loop per entry, without
+periodic runs, the normal form as a fold of the
 product over single actions, the power as an n-fold product, its center
 by one overlap of the full n-fold sides (through the library's overlap),
 the action by slicing the queue, the primitive root by trying every
@@ -90,6 +91,18 @@ if TYPE_CHECKING:
 def scan_prefix_function(w):
     """Entry i is the longest proper border of w[:i+1], trying every length."""
     return [max(k for k in range(i + 1) if w[:k] == w[i + 1 - k:i + 1]) for i in range(len(w))]
+
+
+def stepwise_border_table(w):
+    """The prefix function of w by the Knuth-Morris-Pratt loop, one step per
+    entry, each entry read back from the list."""
+    border = []
+    for i, y in enumerate(w):
+        j = border[-1] if i else 0
+        while j and w[j] != y:
+            j = border[j - 1]
+        border.append(j + 1 if i and w[j] == y else 0)
+    return border
 
 
 def scan_overlap(u, v):

@@ -150,7 +150,7 @@ def test_distinguishing_queue_matches_list_search_up_to_4_actions():
                     == list_distinguishing_queue(u, v, max_len)), (u, v, max_len)
 
 
-def test_distinguishing_queue_stops_at_m_plus_1_with_the_same_answer():
+def test_distinguishing_queue_stops_at_m_with_the_same_answer():
     # M is the larger number of reads; the list search goes on to M + 3
     def check(u, v, alphabet):
         max_len = max(len(project_neg(u)), len(project_neg(v))) + 3
@@ -188,7 +188,7 @@ def test_distinguishing_queue_compares_each_candidate_once(monkeypatch):
 
 def test_distinguishing_queue_tries_few_queues_per_length(monkeypatch):
     # at most two distinct queues per length up to M, the larger number of
-    # reads, and 2 |letters| at M + 1; _image runs once per queue and word
+    # reads, and none beyond; _image runs once per queue and word
     calls = []
     image = cli._image
 
@@ -205,19 +205,17 @@ def test_distinguishing_queue_tries_few_queues_per_length(monkeypatch):
         calls.clear()
         q = _distinguishing_queue(nfs, 10**9, alphabet)
         m = max(len(nf.neg()) for nf in nfs)
-        used = {x for nf in nfs for x in nf.neg() + nf.pos()}
-        letters = len(used) + bool(set(alphabet) - used)  # and the unused one
         per_length = collections.Counter(map(len, set(calls)))
         assert len(calls) == 2 * sum(per_length.values()), (u, v)
         for n, count in per_length.items():
-            assert n <= m + 1 and count <= (2 if n <= m else 2 * letters), (u, v, n)
+            assert n <= m and count <= 2, (u, v, n)
         return q
 
     words = [w for k in range(4) for w in itertools.product(("a", "b", "~a", "~b"), repeat=k)]
     for u, v in itertools.product(words, repeat=2):
         check(u, v, quemon.DEFAULT_ALPHABET)
     # over the one letter a some inequivalent pairs are never separated, so
-    # the search runs on to M + 1
+    # the search runs on to M
     words = [w for k in range(6) for w in itertools.product(("a", "~a"), repeat=k)]
     assert None in {check(u, v, ("a",)) for u, v in itertools.product(words, repeat=2)}
 
@@ -860,7 +858,7 @@ PARSER_PIN = {
     "quemon eq": (None, "decide equivalence of two queue words", [
         HELP, JSON, ALPHABET,
         ("_StoreAction", ["--max-len"], "max_len", None, None, 8, "N",
-         "bound for the distinguishing-queue search (default 8); it stops earlier, at M + 1, "
+         "bound for the distinguishing-queue search (default 8); it stops earlier, at M, "
          "where M is the larger number of reads in the two words", "int"),
         WORD1, WORD2,
     ]),

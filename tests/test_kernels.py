@@ -6,7 +6,11 @@ are checked against the quadratic versions in oracles.py: exhaustively at
 small sizes, with hypothesis on longer words over one to three letters
 (where centers get long) and on near-periodic words of up to 400 actions
 (where a match runs for hundreds of letters before it falls back), and on
-the edge cases by hand.  power_mu is checked against the overlap of the
+the edge cases by hand.  The border table, which grows by periodic runs,
+is checked against the stepwise prefix-function loop on powers of random
+roots with a random tail, built in any order of partial builds, and the
+number of runs is pinned on the Fibonacci word, on a power with a tail
+and on random words.  power_mu is checked against the overlap of the
 full n-fold sides, exhaustively and, with nf_power, on elements built from
 powers of a primitive root and its rotation, with n up to 3,000, where the
 match is extended by the primitive period.  lex_normal_form
@@ -38,6 +42,7 @@ the alphabet and its letter images.
 """
 
 import itertools
+import math
 import os
 import random
 import string
@@ -77,7 +82,7 @@ from quemon import (
     trace_equivalent,
     verify_embedding_bounded,
 )
-from quemon import embed
+from quemon import embed, words
 from quemon.trace import _offsets
 from quemon.words import match_step
 
@@ -97,6 +102,7 @@ from oracles import (
     slicing_action,
     stack_lex_normal_form,
     stack_trace_equivalent,
+    stepwise_border_table,
 )
 
 ACTIONS = ("a", "b", "~a", "~b")
@@ -221,6 +227,101 @@ def test_match_step_extends_any_partial_border_table():
                     border = full[:built]
                     assert match_step(pattern, border, k, x) == want, (pattern, k, x, built)
                     assert len(border) >= built and border == full[: len(border)], (pattern, k, x, built)
+
+
+def _border_table(pattern):
+    """The whole prefix function of pattern, as match_step builds it when a
+    full match falls back."""
+    border = []
+    if pattern:
+        match_step(pattern, border, len(pattern), pattern[0])
+    return border
+
+
+def test_border_table_is_the_prefix_function_on_every_word():
+    for alphabet, n in ((("a", "b"), 12), (LETTERS, 8)):
+        for pattern in words_up_to(n, alphabet):
+            assert _border_table(pattern) == scan_prefix_function(pattern), pattern
+
+
+def _fibonacci_word(m):
+    a, b = ("a",), ("a", "b")
+    while len(b) < m:
+        a, b = b, b + a
+    return b[:m]
+
+
+def test_border_table_takes_few_periodic_runs(monkeypatch):
+    calls = []
+    run = words._periodic_run
+
+    def counted(pattern, start, p):
+        calls.append(p)
+        return run(pattern, start, p)
+
+    monkeypatch.setattr(words, "_periodic_run", counted)
+
+    def runs(pattern):
+        calls.clear()
+        assert _border_table(pattern) == stepwise_border_table(pattern)
+        return len(calls)
+
+    # the runs start at prefix squares with primitive roots, which grow at
+    # least like the Fibonacci numbers (the three-squares lemma)
+    m = 10**5
+    assert runs(_fibonacci_word(m)) <= math.log(m, (1 + math.sqrt(5)) / 2) + 2
+    s = tuple("aabab")
+    assert runs(s * 200_000 + tuple("abbab")) == 1
+    assert runs(("a",) * m) == 1
+    # a run starts only where a prefix has a border longer than half of it,
+    # and on random words such prefixes are short
+    rng = random.Random(5)
+    for _ in range(4):
+        w = tuple(rng.choice("ab") for _ in range(m))
+        long_borders = sum(2 * j > i + 1 for i, j in enumerate(stepwise_border_table(w)))
+        count = runs(w)
+        assert count <= long_borders and (count == 0) == (long_borders == 0), w[:20]
+
+
+@st.composite
+def periodic_patterns(draw):
+    """A power of a random root over one to three letters, with a random
+    tail, of up to 5,000 letters."""
+    letters = LETTERS[: draw(st.integers(min_value=1, max_value=3))]
+    root = tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=12)))
+    power = root * draw(st.integers(0, 4_900 // len(root)))
+    return power + tuple(draw(st.lists(st.sampled_from(letters), max_size=100)))
+
+
+@given(periodic_patterns(), st.lists(st.integers(min_value=0, max_value=5_000), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_border_table_is_stepwise_under_any_partial_builds(pattern, ks):
+    full = stepwise_border_table(pattern)
+    border = []
+    for k in ks + [len(pattern)]:
+        k %= len(pattern) + 1
+        # "~" is no letter of pattern, so the match falls back to 0 and
+        # needs every entry up to k
+        assert match_step(pattern, border, k, "~") == 0
+        assert k <= len(border) <= len(pattern) and border == full[: len(border)]
+    assert border == full
+
+
+def test_overlap_compares_a_full_alignment_without_a_scan(monkeypatch):
+    calls = []
+    step = words.match_step
+
+    def counted(*args):
+        calls.append(args[2])
+        return step(*args)
+
+    monkeypatch.setattr(words, "match_step", counted)
+    w = tuple("aabab") * 200_000
+    assert overlap(w, w) == w
+    assert overlap(("b",) + w, w) == overlap(w, w + ("b",)) == w
+    assert not calls
+    assert overlap(w, w[:-1] + ("a",)) == w[:-5]
+    assert calls
 
 
 def _small_graphs():
